@@ -32,6 +32,7 @@ let throughput bytes seconds = float_of_int bytes /. 1e6 /. seconds
 let live = ref 0
 let emit_spans ~pos ~len ~rule = live := !live lxor (pos + len + rule)
 let emit_strings (lex : string) rule = live := !live lxor (String.length lex + rule)
+let emit_views (_ : string) pos len rule = live := !live lxor (pos + len + rule)
 
 (* The seven tools of RQ3 (paper §6 baseline list), over a prepared
    grammar. [`Streaming] tools process the input through the chunked /

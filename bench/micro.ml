@@ -162,7 +162,8 @@ let rec smoke () =
       worst;
     exit 1
   end;
-  disabled_tracer_check ()
+  disabled_tracer_check ();
+  stream_gate ()
 
 (* The probe contract: with tracing disabled, the traced entry points cost
    one bool load per call over the plain ones. Verified the same way as
@@ -225,5 +226,104 @@ and disabled_tracer_check () =
   if overhead > 10.0 then begin
     Printf.eprintf
       "smoke: disabled-tracer overhead %.1f%% exceeds the 10%% gate\n" overhead;
+    exit 1
+  end
+
+(* The stream layer against the batch runner it shares its kernel with:
+   the same 512 KB json and csv inputs pushed through [Stream_tokenizer]
+   (view emitter) in 64 KB chunks. Hard check: the token stream and
+   outcome digest equal [Engine.run_string]'s. Then interleaved best-of-15
+   rounds report stream / batch throughput — target >= 0.9, hard floor
+   0.8: per-chunk work is a seam over max(K, 1) bytes, so a lower ratio
+   means the chunked path grew per-byte or per-token work. *)
+and stream_gate () =
+  let chunk = 65_536 in
+  let feed_all st input =
+    let n = String.length input in
+    let pos = ref 0 in
+    while !pos < n do
+      let len = min chunk (n - !pos) in
+      Stream_tokenizer.feed st input !pos len;
+      pos := !pos + len
+    done;
+    Stream_tokenizer.finish st
+  in
+  let check (g : Grammar.t) =
+    let engine =
+      match Engine.compile (Grammar.dfa g) with
+      | Ok e -> e
+      | Error _ -> assert false
+    in
+    let gen = Option.get (Gen_data.by_name g.Grammar.name) in
+    let input = gen ~seed:Bench_common.seed_data ~target_bytes:524_288 () in
+    let digest b outcome =
+      Buffer.add_string b
+        (match outcome with
+        | Engine.Finished -> "finished"
+        | Engine.Failed { offset; _ } -> Printf.sprintf "failed@%d" offset);
+      Digest.string (Buffer.contents b)
+    in
+    let batch =
+      let b = Buffer.create 65536 in
+      digest b
+        (Engine.run_string engine input ~emit:(fun ~pos ~len ~rule ->
+             Printf.bprintf b "%d:%d:%d;" pos len rule))
+    in
+    let stream =
+      (* views carry chunk-relative positions; tokens are contiguous, so
+         the stream offset is the running sum of lengths *)
+      let b = Buffer.create 65536 and off = ref 0 in
+      let st =
+        Stream_tokenizer.create_views engine ~emit:(fun _ _ len rule ->
+            Printf.bprintf b "%d:%d:%d;" !off len rule;
+            off := !off + len)
+      in
+      digest b (feed_all st input)
+    in
+    if batch <> stream then begin
+      Printf.eprintf "smoke: stream token stream differs from batch on %s\n"
+        g.Grammar.name;
+      exit 1
+    end;
+    let t_batch = ref infinity and t_stream = ref infinity in
+    for _ = 1 to 15 do
+      let _, dt =
+        Bench_common.time_once (fun () ->
+            ignore
+              (Engine.run_string engine input ~emit:Bench_common.emit_spans))
+      in
+      if dt < !t_batch then t_batch := dt;
+      let _, dt =
+        Bench_common.time_once (fun () ->
+            ignore
+              (feed_all
+                 (Stream_tokenizer.create_views engine
+                    ~emit:Bench_common.emit_views)
+                 input))
+      in
+      if dt < !t_stream then t_stream := dt
+    done;
+    let ratio = !t_batch /. !t_stream in
+    Printf.printf
+      "  %-10s batch %7.1f MB/s  stream(64K)   %7.1f MB/s  ratio %5.2f  \
+       (target >=0.9)\n"
+      g.Grammar.name
+      (Bench_common.throughput (String.length input) !t_batch)
+      (Bench_common.throughput (String.length input) !t_stream)
+      ratio;
+    Bench_common.record_result ~experiment:"smoke" ~name:"stream_vs_batch"
+      ~labels:[ ("grammar", g.Grammar.name) ]
+      ratio;
+    ratio
+  in
+  let worst =
+    List.fold_left
+      (fun acc g -> Float.min acc (check g))
+      infinity
+      [ Formats.json; Formats.csv ]
+  in
+  if worst < 0.8 then begin
+    Printf.eprintf "smoke: stream/batch throughput %.2f below the 0.8 floor\n"
+      worst;
     exit 1
   end

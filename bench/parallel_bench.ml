@@ -58,7 +58,8 @@ let run ?(size_mb = 8) () =
       print_newline ())
     [ Formats.tsv; Formats.linux_log; Formats.fasta; Formats.csv; Formats.json ];
   Bench_common.pp_note
-    "(expected on multi-core hardware: near-linear scaling for \
-     tsv/log/fasta, whose segments always splice; csv/json limited by \
-     quote-parity misspeculation. On a single core the parallel path \
-     costs the speculative pass + splice re-emission.)"
+    "(measured on 2 cores, p=2 runs slower than p=1 on every format, \
+     tsv/log/fasta included although their segments always splice: the \
+     speculative pass, the splice re-emission and a domain spawn per call \
+     cost more than the second core returns; csv/json also lose \
+     segments to quote-parity misspeculation. See EXPERIMENTS.md.)"

@@ -336,4 +336,83 @@ if [ -e "$sock" ]; then
 fi
 rm -rf "$tmpd"
 
+echo "== fd exhaustion (ulimit -n 16: connect burst, daemon survives, parity)"
+# A daemon out of file descriptors must pause its listener, not die: 40
+# clients connect at once against a 16-descriptor limit (each holds its
+# connection for a second before streaming its input). Accepts beyond the
+# limit fail with EMFILE and wait in the backlog until connections close.
+# The daemon must stay up, every client must be served and match batch
+# tokenize, the refusals must be counted in STATS, and SIGTERM must still
+# drain cleanly. Both accept loops: --domains 1 and the sharded acceptor.
+for domains in 1 2; do
+  tmpd=$(mktemp -d)
+  sock="$tmpd/st.sock"
+  (ulimit -n 16 && exec "$BIN" serve --socket "$sock" --domains "$domains" \
+    --idle-timeout 30) > "$tmpd/serve.log" 2>&1 &
+  srv=$!
+  i=0
+  while [ ! -S "$sock" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "fd exhaustion FAILED: daemon did not come up (--domains $domains)"
+      cat "$tmpd/serve.log"
+      rm -rf "$tmpd"
+      exit 1
+    fi
+    sleep 0.1
+  done
+  "$BIN" gen json --bytes 20000 --seed 5 > "$tmpd/in.json"
+  "$BIN" tokenize json "$tmpd/in.json" > "$tmpd/ref.out"
+  pids=""
+  for n in $(seq 1 40); do
+    (sleep 1 && cat "$tmpd/in.json") \
+      | "$BIN" client --socket "$sock" json > "$tmpd/out.$n" 2> /dev/null &
+    pids="$pids $!"
+  done
+  n=0
+  served=0
+  for pid in $pids; do
+    n=$((n + 1))
+    if wait "$pid"; then
+      if ! cmp -s "$tmpd/ref.out" "$tmpd/out.$n"; then
+        echo "fd exhaustion FAILED: client $n output differs from tokenize"
+        kill -TERM "$srv" 2> /dev/null || true
+        rm -rf "$tmpd"
+        exit 1
+      fi
+      served=$((served + 1))
+    fi
+  done
+  if ! kill -0 "$srv" 2> /dev/null; then
+    echo "fd exhaustion FAILED: daemon died (--domains $domains)"
+    cat "$tmpd/serve.log"
+    rm -rf "$tmpd"
+    exit 1
+  fi
+  "$BIN" client --socket "$sock" json "$tmpd/in.json" --stats \
+    > /dev/null 2> "$tmpd/stats.json"
+  if grep -q '"name":"accept_fd_exhausted","type":"counter","value":0[,}]' \
+    "$tmpd/stats.json"; then
+    echo "fd exhaustion FAILED: descriptor limit never reached (--domains $domains)"
+    cat "$tmpd/stats.json"
+    kill -TERM "$srv" 2> /dev/null || true
+    rm -rf "$tmpd"
+    exit 1
+  fi
+  if [ "$served" -ne 40 ]; then
+    echo "fd exhaustion FAILED: only $served/40 clients served (--domains $domains)"
+    kill -TERM "$srv" 2> /dev/null || true
+    rm -rf "$tmpd"
+    exit 1
+  fi
+  echo "  --domains $domains: 40/40 clients served with parity"
+  kill -TERM "$srv"
+  if ! wait "$srv"; then
+    echo "fd exhaustion FAILED: daemon did not exit 0 on SIGTERM"
+    rm -rf "$tmpd"
+    exit 1
+  fi
+  rm -rf "$tmpd"
+done
+
 echo "== check.sh OK"

@@ -166,6 +166,12 @@ let serve ?config ?(on_listening = fun () -> ()) ?should_stop ~socket () =
   let listen_fd = bind_listener ~socket in
   on_listening ();
   let core = Core.create srv in
+  (* Out of file descriptors (EMFILE / ENFILE), the refused connection
+     stays in the backlog and the listener stays readable, so polling it
+     would spin. Stop polling it until a connection closes — or, for
+     descriptors freed outside this loop, until a select timeout has
+     passed — and count the event. *)
+  let paused = ref None in
   let accept_new () =
     let continue = ref true in
     while !continue do
@@ -176,6 +182,10 @@ let serve ?config ?(on_listening = fun () -> ()) ?should_stop ~socket () =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
           ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          Server.note_accept_exhausted srv;
+          paused := Some (Server.live_conns srv, Unix.gettimeofday ());
+          continue := false
     done
   in
   let listening = ref true in
@@ -187,9 +197,15 @@ let serve ?config ?(on_listening = fun () -> ()) ?should_stop ~socket () =
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ())
     end;
+    (match !paused with
+    | Some (live, since)
+      when Server.live_conns srv < live
+           || Unix.gettimeofday () -. since >= max_timeout ->
+        paused := None
+    | _ -> ());
     if Server.draining srv && Server.live_conns srv = 0 then finished := true
     else begin
-      let extra = if !listening then [ listen_fd ] else [] in
+      let extra = if !listening && !paused = None then [ listen_fd ] else [] in
       let ready = Core.iterate core ~extra ~max_timeout in
       if ready <> [] then accept_new ()
     end

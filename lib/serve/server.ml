@@ -65,6 +65,7 @@ type t = {
   mutable feed_batches_total : int;
   mutable flushes_total : int;
   mutable writevs_total : int;
+  mutable accept_exhausted_total : int;
   mutable batch_bytes_direct : int;
   mutable batch_bytes_copied : int;
   mutable peak_sessions : int;
@@ -100,6 +101,7 @@ let create ?cache ?(config = default_config) () =
     feed_batches_total = 0;
     flushes_total = 0;
     writevs_total = 0;
+    accept_exhausted_total = 0;
     batch_bytes_direct = 0;
     batch_bytes_copied = 0;
     peak_sessions = 0;
@@ -256,6 +258,7 @@ type totals = {
   tot_feed_batches : int;
   tot_flushes : int;
   tot_writevs : int;
+  tot_accept_exhausted : int;
   tot_batch_bytes_direct : int;
   tot_batch_bytes_copied : int;
   tot_decoder_copies : int;
@@ -284,6 +287,7 @@ let totals t =
     tot_feed_batches = t.feed_batches_total;
     tot_flushes = t.flushes_total;
     tot_writevs = t.writevs_total;
+    tot_accept_exhausted = t.accept_exhausted_total;
     tot_batch_bytes_direct = t.batch_bytes_direct;
     tot_batch_bytes_copied = t.batch_bytes_copied;
     tot_decoder_copies = decoder_copies t;
@@ -328,6 +332,8 @@ let sum_totals ~shared_cache = function
               tot_feed_batches = a.tot_feed_batches + x.tot_feed_batches;
               tot_flushes = a.tot_flushes + x.tot_flushes;
               tot_writevs = a.tot_writevs + x.tot_writevs;
+              tot_accept_exhausted =
+                a.tot_accept_exhausted + x.tot_accept_exhausted;
               tot_batch_bytes_direct =
                 a.tot_batch_bytes_direct + x.tot_batch_bytes_direct;
               tot_batch_bytes_copied =
@@ -375,6 +381,10 @@ let registry_of_totals tot =
   counter "feed_batches" "coalesced FEED batches flushed" tot.tot_feed_batches;
   counter "flushes" "FLUSH frames processed" tot.tot_flushes;
   counter "writevs" "vectored socket writes consumed" tot.tot_writevs;
+  counter "accept_fd_exhausted"
+    "accepts refused for lack of file descriptors (EMFILE/ENFILE); the \
+     listener pauses"
+    tot.tot_accept_exhausted;
   counter "batch_bytes_direct"
     "token-batch frame bytes written in place by writev (no out-queue blit)"
     tot.tot_batch_bytes_direct;
@@ -403,6 +413,12 @@ let registry_of_totals tot =
     (float_of_int tot.tot_cache_entries);
   gauge "uptime_seconds" "seconds since server start" tot.tot_uptime;
   r
+
+let add_accept_exhausted tot n =
+  { tot with tot_accept_exhausted = tot.tot_accept_exhausted + n }
+
+let note_accept_exhausted t =
+  t.accept_exhausted_total <- t.accept_exhausted_total + 1
 
 let stats_registry_impl t = registry_of_totals (totals t)
 

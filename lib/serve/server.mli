@@ -171,6 +171,15 @@ val sum_totals : shared_cache:bool -> totals list -> totals
     indistinguishable from single-domain ones. *)
 val registry_of_totals : totals -> Metrics.Registry.t
 
+(** [add_accept_exhausted tot n]: [tot] with [n] more refused accepts —
+    how the sharded acceptor, which runs outside every worker's server,
+    adds its count to the pool-wide view. *)
+val add_accept_exhausted : totals -> int -> totals
+
+(** Count one [accept] refused for lack of file descriptors (EMFILE /
+    ENFILE) — the [accept_fd_exhausted] counter. *)
+val note_accept_exhausted : t -> unit
+
 (** Install the STATS responder: when set, a STATS request is answered
     with [f ()]'s registry instead of this instance's own — the hook a
     {!Shard} worker uses to reply with pool-wide aggregated stats. *)
@@ -180,7 +189,7 @@ val set_stats_hook : t -> (unit -> Metrics.Registry.t) -> unit
     open/close/reject/evict counters, bytes and token counters, the
     per-FEED-batch latency log2 histogram in nanoseconds, [feed_batches]
     / [decoder_copies] / [writevs] / [batch_bytes_direct] /
-    [batch_bytes_copied] data-plane counters, engine-cache compile/hit
-    counters, uptime). Equal to
+    [batch_bytes_copied] data-plane counters, the [accept_fd_exhausted]
+    counter, engine-cache compile/hit counters, uptime). Equal to
     [registry_of_totals (totals t)]. *)
 val stats_registry : t -> Metrics.Registry.t

@@ -27,18 +27,19 @@ let opened t = match t.state with Opened_ _ -> true | Awaiting_open -> false
 
 (* Tokens are encoded straight into the wire format as they are emitted —
    u32 rule, u32 len, lexeme bytes (or just u32 rule in id mode) — into a
-   scratch Outbuf reused across frames. Flushing a batch is then a single
-   header poke + one blit. *)
+   scratch Outbuf reused across frames. The tokenizer emits views into the
+   fed chunk, so no lexeme is ever allocated: TOKENS blit the view, IDS
+   ignore it. Flushing a batch is then a single header poke + one blit. *)
 let new_tokenizer ~ids engine enc ntoks =
   if ids then
-    Stream_tokenizer.create engine ~emit:(fun _lexeme rule ->
+    Stream_tokenizer.create_views engine ~emit:(fun _ _ _ rule ->
         Outbuf.add_u32 enc rule;
         incr ntoks)
   else
-    Stream_tokenizer.create engine ~emit:(fun lexeme rule ->
+    Stream_tokenizer.create_views engine ~emit:(fun s pos len rule ->
         Outbuf.add_u32 enc rule;
-        Outbuf.add_u32 enc (String.length lexeme);
-        Outbuf.add_string enc lexeme;
+        Outbuf.add_u32 enc len;
+        Outbuf.add_substring enc s pos len;
         incr ntoks)
 
 let batch t =

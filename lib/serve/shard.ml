@@ -15,6 +15,7 @@ type t = {
   cache : Engine_cache.t option;  (* [Some] = one shared locked cache *)
   workers : worker array;
   stop_flag : bool Atomic.t;
+  accept_exhausted : int Atomic.t;  (* acceptor EMFILE/ENFILE count *)
   pub_mu : Mutex.t;
   mutable rr : int;  (* round-robin handoff cursor *)
 }
@@ -33,6 +34,12 @@ let wake w =
 
 let shared_cache pool = Option.is_some pool.cache
 
+let pool_registry pool snaps =
+  Server.registry_of_totals
+    (Server.add_accept_exhausted
+       (Server.sum_totals ~shared_cache:(shared_cache pool) snaps)
+       (Atomic.get pool.accept_exhausted))
+
 (* Pool-wide aggregated stats: the calling worker's live snapshot plus
    every other worker's last published one (at most ~50 ms + one select
    round stale). *)
@@ -46,8 +53,7 @@ let aggregate pool ~self_idx own =
   in
   Mutex.unlock pool.pub_mu;
   let snaps = List.filter_map Fun.id snaps in
-  Server.registry_of_totals
-    (Server.sum_totals ~shared_cache:(shared_cache pool) snaps)
+  pool_registry pool snaps
 
 let stats pool =
   Mutex.lock pool.pub_mu;
@@ -57,10 +63,7 @@ let stats pool =
   Mutex.unlock pool.pub_mu;
   match snaps with
   | [] -> None
-  | snaps ->
-      Some
-        (Server.registry_of_totals
-           (Server.sum_totals ~shared_cache:(shared_cache pool) snaps))
+  | snaps -> Some (pool_registry pool snaps)
 
 let worker_loop pool w =
   let srv = Server.create ?cache:pool.cache ~config:pool.cfg () in
@@ -153,6 +156,7 @@ let create_pool ?(config = Server.default_config) ?(cache_mode = `Shared)
       cache;
       workers;
       stop_flag = Atomic.make false;
+      accept_exhausted = Atomic.make 0;
       pub_mu = Mutex.create ();
       rr = 0;
     }
@@ -211,6 +215,11 @@ let serve ?config ?(on_listening = fun () -> ()) ?should_stop ?cache_mode
     let listen_fd = Io_loop.bind_listener ~socket in
     on_listening ();
     let timeout = match should_stop with None -> 0.25 | Some _ -> 0.05 in
+    (* Out of file descriptors (EMFILE / ENFILE): the listener stays
+       readable with the refused connection in its backlog, so back off
+       for one select timeout without polling it; the workers close
+       connections meanwhile. *)
+    let paused = ref false in
     let accept_new () =
       let continue = ref true in
       while !continue do
@@ -223,10 +232,16 @@ let serve ?config ?(on_listening = fun () -> ()) ?should_stop ?cache_mode
         | exception
             Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
             ()
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+            Atomic.incr pool.accept_exhausted;
+            paused := true;
+            continue := false
       done
     in
     while not (stop_requested ()) do
-      match select_eintr [ listen_fd ] [] [] timeout with
+      let listen = if !paused then [] else [ listen_fd ] in
+      paused := false;
+      match select_eintr listen [] [] timeout with
       | [], _, _ -> ()
       | _ -> accept_new ()
     done;

@@ -431,7 +431,7 @@ end
 (* Walk the TOKENS records of a decoded frame view without materializing
    a list or copying lexemes: [f] sees (rule, buffer, offset, length) per
    record, valid only during the call. Returns the record count. *)
-let iter_tokens_view (v : Decoder.view) f =
+let iter_tokens_view_untraced (v : Decoder.view) f =
   let b = v.Decoder.vbuf in
   let stop = v.Decoder.voff + v.Decoder.vlen in
   let pos = ref v.Decoder.voff in
@@ -461,6 +461,15 @@ let iter_tokens_view (v : Decoder.view) f =
     end
   done;
   if !ok then Ok !count else Result.Error "malformed TOKENS payload"
+
+(* The client's per-token reply walk is the mirror of the server's
+   encode: one span per frame, so a traced client-side consumer shows
+   where its time goes. *)
+let p_tokens = St_trace.Trace.probe ~cat:"decode" "wire.tokens"
+
+let iter_tokens_view v f =
+  if not !St_trace.Trace.on then iter_tokens_view_untraced v f
+  else St_trace.Trace.with_span p_tokens (fun () -> iter_tokens_view_untraced v f)
 
 (* Same idea for IDS frames (token-id serving mode): one u32 per token,
    no lexemes. *)

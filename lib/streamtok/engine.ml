@@ -2,12 +2,7 @@ open St_automata
 module Bits = St_util.Bits
 module Tnd = St_analysis.Tnd
 
-type mode =
-  | Table_k1 of Bytes.t
-      (* Fig. 5: [q * (num_classes + 1) + class] = '\001' iff the token
-         ending at final state [q] is maximal given a next symbol of that
-         equivalence class (last column = EOF). *)
-  | Te of Te_dfa.t (* Fig. 6 *)
+type mode = Cursor.mode = Table_k1 of Bytes.t | Te of Te_dfa.t
 
 type t = { dfa : Dfa.t; k : int; reject : bool array; mode : mode }
 
@@ -17,16 +12,7 @@ let k e = e.k
 let dfa e = e.dfa
 let te_states e = match e.mode with Table_k1 _ -> 0 | Te te -> Te_dfa.num_states te
 
-(* Run-time lookahead buffering, mirroring Stream_tokenizer: the K ≤ 1
-   paths carry a single pending byte; the TE path keeps a power-of-two
-   ring of capacity ≥ K + 1. *)
-let lookahead_buffer_bytes e =
-  match e.mode with
-  | Table_k1 _ -> 1
-  | Te _ ->
-      let k = max e.k 1 in
-      let rec cap c = if c >= k + 1 then c else cap (2 * c) in
-      cap 2
+let delay e = Cursor.lookahead e.mode
 
 let k1_table_bytes e =
   match e.mode with Table_k1 tbl -> Bytes.length tbl | Te _ -> 0
@@ -48,7 +34,7 @@ let footprint_bytes e =
         * ((Te_dfa.width te * 8) + (((Dfa.size e.dfa + 63) / 64) * 8) + 16)
         + Te_dfa.accel_bytes te
   in
-  dfa_bytes + mode_bytes + lookahead_buffer_bytes e + 64
+  dfa_bytes + mode_bytes + delay e + 64
 
 let build_k1_table d =
   let n = Dfa.size d in
@@ -77,7 +63,19 @@ type compile_stats = {
   footprint_bytes : int;
 }
 
-let compile_timed ?(force_te = false) d =
+(* The engine tables for a DFA whose max-TND is (at most) [k]. The
+   token-extension DFA is correct for any lookahead ≥ max-TND, so forcing
+   it on a K ≤ 1 grammar (ablation) uses K = 1. *)
+let build ?(force_te = false) d ~k =
+  let coacc = Dfa.co_accessible d in
+  let reject = Array.init (Dfa.size d) (fun q -> not (Bits.mem coacc q)) in
+  let mode =
+    if k <= 1 && not force_te then Table_k1 (build_k1_table d)
+    else Te (Te_dfa.build d ~k:(max k 1))
+  in
+  { dfa = d; k; reject; mode }
+
+let compile_timed ?force_te d =
   let result, analysis_seconds =
     St_util.Timer.time_it (fun () -> Tnd.max_tnd d)
   in
@@ -85,19 +83,7 @@ let compile_timed ?(force_te = false) d =
   | Tnd.Infinite -> Error Unbounded_tnd
   | Tnd.Finite k ->
       let e, build_seconds =
-        St_util.Timer.time_it (fun () ->
-            let coacc = Dfa.co_accessible d in
-            let reject =
-              Array.init (Dfa.size d) (fun q -> not (Bits.mem coacc q))
-            in
-            let mode =
-              (* the token-extension DFA is correct for any lookahead ≥
-                 max-TND, so forcing it on a K ≤ 1 grammar (ablation) uses
-                 K = 1 *)
-              if k <= 1 && not force_te then Table_k1 (build_k1_table d)
-              else Te (Te_dfa.build d ~k:(max k 1))
-            in
-            { dfa = d; k; reject; mode })
+        St_util.Timer.time_it (fun () -> build ?force_te d ~k)
       in
       Ok
         ( e,
@@ -118,12 +104,7 @@ let compile ?force_te d = Result.map fst (compile_timed ?force_te d)
    lookahead only needs to be at least the real distance. *)
 let compile_trusted d ~k =
   if k < 0 then invalid_arg "Engine.compile_trusted: negative k";
-  let coacc = Dfa.co_accessible d in
-  let reject = Array.init (Dfa.size d) (fun q -> not (Bits.mem coacc q)) in
-  let mode =
-    if k <= 1 then Table_k1 (build_k1_table d) else Te (Te_dfa.build d ~k)
-  in
-  { dfa = d; k; reject; mode }
+  build d ~k
 
 let compile_rules ?classes ?accel ?swar ?max_states rules =
   compile (Dfa.of_rules ?classes ?accel ?swar ?max_states rules)
@@ -152,478 +133,22 @@ let fail s startP =
   Failed
     { offset = startP; pending = String.sub s startP (String.length s - startP) }
 
-(* Fig. 5 specialized runner: per symbol, one classmap load, one DFA step
-   and one table probe — the two-load form. The class of the lookahead byte
-   is carried into the next iteration, where the same byte is the one
-   consumed, so each byte is translated exactly once.
+let cursor e ~emit = Cursor.create e.dfa e.mode e.reject ~emit
 
-   There is no per-symbol failure check: once the DFA enters a reject state
-   it can never be final again, so no token is ever emitted past that point
-   and the trailing [startP < n] test reports the failure with the same
-   offset the eager check would (§5 of the paper proves no emission can be
-   pending when the DFA dies).
-
-   Self-loop run acceleration: when two consecutive steps land back in the
-   same state ([!q = prev = prev2]) and that state is flagged accelerable,
-   the run is finished with [Dfa.skip_run] — no table steps, no maximality
-   probes. Skipping the intermediate probes is sound because a self-loop
-   step can never fire the Fig. 5 bit: T[q][c] = 1 needs δ(q,c) non-final
-   while q is final, and δ(q,c) = q during a run. The probe at the stop
-   byte (or EOF) runs as usual once the skip lands. Detecting runs by
-   comparing states costs register compares per byte on run-poor input,
-   where a per-byte bitmap probe would not stay within the no-regression
-   budget; demanding a run of two (plus an inline stop-bit pre-test of the
-   next byte) keeps streams made of 1–2 byte tokens from ever touching the
-   bitmaps or calling [skip_run]. *)
-let run_string_k1 ?(from = 0) e tbl s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let kw = nc + 1 in
-  let start = d.Dfa.start in
-  let n = String.length s in
-  let q = ref start in
-  let startP = ref from in
-  let pos = ref from in
-  let cls =
-    ref
-      (if from < n then
-         Char.code
-           (String.unsafe_get cmap (Char.code (String.unsafe_get s from)))
-       else nc)
-  in
-  let prev2 = ref (-1) in
-  while !pos < n do
-    let prev = !q in
-    q := Array.unsafe_get trans ((!q * nc) + !cls);
-    incr pos;
-    (* skip-entry trigger: two consecutive self-loop steps. Requiring an
-       observed run of 2 (not 1) keeps streams full of 2-byte tokens off
-       the bitmap probes entirely — their cost is one register compare *)
-    if
-      !q = prev && prev = !prev2
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos < n
-      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !pos))
-         = 0
-    then pos := Dfa.skip_run astops akind aswar !q s !pos n;
-    prev2 := prev;
-    let next_cls =
-      if !pos < n then
-        Char.code
-          (String.unsafe_get cmap (Char.code (String.unsafe_get s !pos)))
-      else nc
-    in
-    if Bytes.unsafe_get tbl ((!q * kw) + next_cls) <> '\000' then begin
-      emit ~pos:!startP ~len:(!pos - !startP) ~rule:accept.(!q);
-      startP := !pos;
-      q := start
-    end;
-    cls := next_cls
-  done;
-  if !startP < n then fail s !startP else Finished
-
-(* Fig. 6 runner: the token-extension DFA runs K symbols ahead. Per symbol:
-   two classmap loads (lookahead and consumed byte), δ_B, δ_A, and the
-   maximality probe; the maximality table T[q][S] is materialized as a
-   packed bit matrix so the per-symbol check is branch + single word read.
-   Failure detection is lazy, as in the K ≤ 1 runner.
-
-   Acceleration must preserve the K-symbol lead: a skipped byte advances
-   BOTH cursors, so an iteration can only be skipped when the consumed byte
-   self-loops A's state [q] AND the byte K ahead self-loops B's powerstate
-   [st] — [Dfa.skip_run2] scans both bitmaps in lockstep, B reading [+k]
-   bytes ahead. The emit bit is a function of the (st, q) pair, which is
-   constant across the run and known 0 at entry, so no probe can be missed;
-   the skip is also bounded to [n - k] so the EOF padding always reenters
-   the normal path. *)
-let run_string_te ?(from = 0) e te s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let atbl = d.Dfa.accel_tbl in
-  let start = d.Dfa.start in
-  let k = Te_dfa.k te in
-  let words = Te_dfa.Raw.words te in
-  let tw = Te_dfa.Raw.width te in
-  let eofc = tw - 1 in
-  let n = String.length s in
-  let q = ref start in
-  let st = ref (Te_dfa.start te) in
-  let startP = ref from in
-  (* Cached raw views of the lazy TeDFA; refreshed whenever a step
-     materializes a new powerstate (which may reallocate the arrays). *)
-  let te_trans = ref (Te_dfa.Raw.trans te) in
-  let emit_rows = ref (Te_dfa.Raw.emit_rows te) in
-  let te_step cls =
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + cls) in
-    if tgt >= 0 then st := tgt
-    else begin
-      st := Te_dfa.step_class te !st cls;
-      te_trans := Te_dfa.Raw.trans te;
-      emit_rows := Te_dfa.Raw.emit_rows te
-    end
-  in
-  let class_at i =
-    if i < n then
-      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s i)))
-    else eofc
-  in
-  (* prologue: B consumes the first K symbols (or pads at EOF) *)
-  for i = from to from + k - 1 do
-    te_step (class_at i)
-  done;
-  let pos = ref from in
-  let prev2_q = ref (-1) and prev2_st = ref (-1) in
-  while !pos < n do
-    let prev_st = !st and prev_q = !q in
-    te_step (class_at (!pos + k));
-    q := Array.unsafe_get trans ((!q * nc) + class_at !pos);
-    if
-      Int64.logand
-        (Int64.shift_right_logical
-           (Array.unsafe_get !emit_rows ((!st * words) + (!q lsr 6)))
-           (!q land 63))
-        1L
-      <> 0L
-    then begin
-      emit ~pos:!startP ~len:(!pos + 1 - !startP) ~rule:accept.(!q);
-      startP := !pos + 1;
-      q := start;
-      incr pos
-    end
-    else if
-      !q = prev_q && prev_q = !prev2_q && !st = prev_st
-      && prev_st = !prev2_st
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos + 1 < n - k
-      && Dfa.stop_bit astops (!q * 8)
-           (Char.code (String.unsafe_get s (!pos + 1)))
-         = 0
-    then begin
-      let bstops = Te_dfa.accel_stops te !st in
-      pos :=
-        Dfa.skip_run2 astops akind aswar atbl !q bstops
-          (Te_dfa.accel_kinds te) (Te_dfa.accel_masks te)
-          (Te_dfa.accel_tbl te) !st ~off:k s (!pos + 1) (n - k)
-    end
-    else incr pos;
-    prev2_q := prev_q;
-    prev2_st := prev_st
-  done;
-  if !startP < n then fail s !startP else Finished
-
-let run_string ?from e s ~emit =
-  match e.mode with
-  | Table_k1 tbl -> run_string_k1 ?from e tbl s ~emit
-  | Te te -> run_string_te ?from e te s ~emit
+(* One kernel call over the whole string with EOF as the final lookahead:
+   the Fig. 5 / Fig. 6 loop of {!Kernel}, entered once. Failure is
+   reported lazily, from the unconsumed tail (see kernel.cppo.ml). *)
+let run_string ?(from = 0) e s ~emit =
+  let c = cursor e ~emit:(fun _ pos len rule -> emit ~pos ~len ~rule) in
+  c.tok <- from;
+  Kernel.run c s from (String.length s) ~eof:true;
+  if c.tok < String.length s then fail s c.tok else Finished
 
 let tokens e s =
   let acc = ref [] in
   let emit ~pos ~len ~rule = acc := (String.sub s pos len, rule) :: !acc in
   let outcome = run_string e s ~emit in
   (List.rev !acc, outcome)
-
-(* Instrumented specializations of the two hot loops (the instrumented
-   runner variant): identical control flow to run_string_k1/run_string_te
-   with one unchecked per-rule tally increment at the emit site. Kept as
-   separate copies so the plain runners carry zero extra branches and the
-   instrumented ones stay inside the ≤2% overhead budget that
-   `bench/main.exe smoke` gates; everything else Run_stats reports is
-   recorded once per call, outside the loop. *)
-
-let run_string_k1_obs ~from e tbl rc sk swk s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let kw = nc + 1 in
-  let start = d.Dfa.start in
-  let n = String.length s in
-  let q = ref start in
-  let startP = ref from in
-  let pos = ref from in
-  let cls =
-    ref
-      (if from < n then
-         Char.code
-           (String.unsafe_get cmap (Char.code (String.unsafe_get s from)))
-       else nc)
-  in
-  let prev2 = ref (-1) in
-  while !pos < n do
-    let prev = !q in
-    q := Array.unsafe_get trans ((!q * nc) + !cls);
-    incr pos;
-    if
-      !q = prev && prev = !prev2
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos < n
-      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !pos))
-         = 0
-    then begin
-      let j = Dfa.skip_run astops akind aswar !q s !pos n in
-      sk := !sk + (j - !pos);
-      if Bytes.unsafe_get akind !q <> '\000' then swk := !swk + (j - !pos);
-      pos := j
-    end;
-    prev2 := prev;
-    let next_cls =
-      if !pos < n then
-        Char.code
-          (String.unsafe_get cmap (Char.code (String.unsafe_get s !pos)))
-      else nc
-    in
-    if Bytes.unsafe_get tbl ((!q * kw) + next_cls) <> '\000' then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos - !startP) ~rule;
-      startP := !pos;
-      q := start
-    end;
-    cls := next_cls
-  done;
-  if !startP < n then fail s !startP else Finished
-
-let run_string_te_obs ~from e te rc sk swk s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let atbl = d.Dfa.accel_tbl in
-  let start = d.Dfa.start in
-  let k = Te_dfa.k te in
-  let words = Te_dfa.Raw.words te in
-  let tw = Te_dfa.Raw.width te in
-  let eofc = tw - 1 in
-  let n = String.length s in
-  let q = ref start in
-  let st = ref (Te_dfa.start te) in
-  let startP = ref from in
-  let te_trans = ref (Te_dfa.Raw.trans te) in
-  let emit_rows = ref (Te_dfa.Raw.emit_rows te) in
-  let te_step cls =
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + cls) in
-    if tgt >= 0 then st := tgt
-    else begin
-      st := Te_dfa.step_class te !st cls;
-      te_trans := Te_dfa.Raw.trans te;
-      emit_rows := Te_dfa.Raw.emit_rows te
-    end
-  in
-  let class_at i =
-    if i < n then
-      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s i)))
-    else eofc
-  in
-  for i = from to from + k - 1 do
-    te_step (class_at i)
-  done;
-  let pos = ref from in
-  let prev2_q = ref (-1) and prev2_st = ref (-1) in
-  while !pos < n do
-    let prev_st = !st and prev_q = !q in
-    te_step (class_at (!pos + k));
-    q := Array.unsafe_get trans ((!q * nc) + class_at !pos);
-    if
-      Int64.logand
-        (Int64.shift_right_logical
-           (Array.unsafe_get !emit_rows ((!st * words) + (!q lsr 6)))
-           (!q land 63))
-        1L
-      <> 0L
-    then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos + 1 - !startP) ~rule;
-      startP := !pos + 1;
-      q := start;
-      incr pos
-    end
-    else if
-      !q = prev_q && prev_q = !prev2_q && !st = prev_st
-      && prev_st = !prev2_st
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos + 1 < n - k
-      && Dfa.stop_bit astops (!q * 8)
-           (Char.code (String.unsafe_get s (!pos + 1)))
-         = 0
-    then begin
-      let bstops = Te_dfa.accel_stops te !st in
-      let bkinds = Te_dfa.accel_kinds te in
-      let j =
-        Dfa.skip_run2 astops akind aswar atbl !q bstops bkinds
-          (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) !st ~off:k s
-          (!pos + 1) (n - k)
-      in
-      sk := !sk + (j - (!pos + 1));
-      if
-        Bytes.unsafe_get akind !q <> '\000'
-        || Bytes.unsafe_get bkinds !st <> '\000'
-      then swk := !swk + (j - (!pos + 1));
-      pos := j
-    end
-    else incr pos;
-    prev2_q := prev_q;
-    prev2_st := prev_st
-  done;
-  if !startP < n then fail s !startP else Finished
-
-(* State-heat specializations: the _obs loops plus two unchecked per-byte
-   array increments ([sv] = bytes consumed landing in each state, [ss] =
-   bytes the skip loops consumed from it). A third copy of each loop, so
-   heat collection costs nothing unless Run_stats.enable_state_heat was
-   called — the visit counts are exact, not sampled, which keeps the
-   top-N table deterministic for a deterministic workload. *)
-
-let run_string_k1_heat ~from e tbl rc sk swk sv ss s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let kw = nc + 1 in
-  let start = d.Dfa.start in
-  let n = String.length s in
-  let q = ref start in
-  let startP = ref from in
-  let pos = ref from in
-  let cls =
-    ref
-      (if from < n then
-         Char.code
-           (String.unsafe_get cmap (Char.code (String.unsafe_get s from)))
-       else nc)
-  in
-  let prev2 = ref (-1) in
-  while !pos < n do
-    let prev = !q in
-    q := Array.unsafe_get trans ((!q * nc) + !cls);
-    Array.unsafe_set sv !q (Array.unsafe_get sv !q + 1);
-    incr pos;
-    if
-      !q = prev && prev = !prev2
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos < n
-      && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !pos))
-         = 0
-    then begin
-      let j = Dfa.skip_run astops akind aswar !q s !pos n in
-      sk := !sk + (j - !pos);
-      if Bytes.unsafe_get akind !q <> '\000' then swk := !swk + (j - !pos);
-      Array.unsafe_set ss !q (Array.unsafe_get ss !q + (j - !pos));
-      pos := j
-    end;
-    prev2 := prev;
-    let next_cls =
-      if !pos < n then
-        Char.code
-          (String.unsafe_get cmap (Char.code (String.unsafe_get s !pos)))
-      else nc
-    in
-    if Bytes.unsafe_get tbl ((!q * kw) + next_cls) <> '\000' then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos - !startP) ~rule;
-      startP := !pos;
-      q := start
-    end;
-    cls := next_cls
-  done;
-  if !startP < n then fail s !startP else Finished
-
-let run_string_te_heat ~from e te rc sk swk sv ss s ~emit =
-  let d = e.dfa in
-  let trans = d.Dfa.trans and accept = d.Dfa.accept in
-  let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
-  let atbl = d.Dfa.accel_tbl in
-  let start = d.Dfa.start in
-  let k = Te_dfa.k te in
-  let words = Te_dfa.Raw.words te in
-  let tw = Te_dfa.Raw.width te in
-  let eofc = tw - 1 in
-  let n = String.length s in
-  let q = ref start in
-  let st = ref (Te_dfa.start te) in
-  let startP = ref from in
-  let te_trans = ref (Te_dfa.Raw.trans te) in
-  let emit_rows = ref (Te_dfa.Raw.emit_rows te) in
-  let te_step cls =
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + cls) in
-    if tgt >= 0 then st := tgt
-    else begin
-      st := Te_dfa.step_class te !st cls;
-      te_trans := Te_dfa.Raw.trans te;
-      emit_rows := Te_dfa.Raw.emit_rows te
-    end
-  in
-  let class_at i =
-    if i < n then
-      Char.code (String.unsafe_get cmap (Char.code (String.unsafe_get s i)))
-    else eofc
-  in
-  for i = from to from + k - 1 do
-    te_step (class_at i)
-  done;
-  let pos = ref from in
-  let prev2_q = ref (-1) and prev2_st = ref (-1) in
-  while !pos < n do
-    let prev_st = !st and prev_q = !q in
-    te_step (class_at (!pos + k));
-    q := Array.unsafe_get trans ((!q * nc) + class_at !pos);
-    Array.unsafe_set sv !q (Array.unsafe_get sv !q + 1);
-    if
-      Int64.logand
-        (Int64.shift_right_logical
-           (Array.unsafe_get !emit_rows ((!st * words) + (!q lsr 6)))
-           (!q land 63))
-        1L
-      <> 0L
-    then begin
-      let rule = Array.unsafe_get accept !q in
-      Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
-      emit ~pos:!startP ~len:(!pos + 1 - !startP) ~rule;
-      startP := !pos + 1;
-      q := start;
-      incr pos
-    end
-    else if
-      !q = prev_q && prev_q = !prev2_q && !st = prev_st
-      && prev_st = !prev2_st
-      && Bytes.unsafe_get aflags !q <> '\000'
-      && !pos + 1 < n - k
-      && Dfa.stop_bit astops (!q * 8)
-           (Char.code (String.unsafe_get s (!pos + 1)))
-         = 0
-    then begin
-      let bstops = Te_dfa.accel_stops te !st in
-      let bkinds = Te_dfa.accel_kinds te in
-      let j =
-        Dfa.skip_run2 astops akind aswar atbl !q bstops bkinds
-          (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) !st ~off:k s
-          (!pos + 1) (n - k)
-      in
-      sk := !sk + (j - (!pos + 1));
-      if
-        Bytes.unsafe_get akind !q <> '\000'
-        || Bytes.unsafe_get bkinds !st <> '\000'
-      then swk := !swk + (j - (!pos + 1));
-      Array.unsafe_set ss !q (Array.unsafe_get ss !q + (j - (!pos + 1)));
-      pos := j
-    end
-    else incr pos;
-    prev2_q := prev_q;
-    prev2_st := prev_st
-  done;
-  if !startP < n then fail s !startP else Finished
 
 let num_rules e = 1 + Array.fold_left max (-1) e.dfa.Dfa.accept
 
@@ -636,30 +161,32 @@ let run_string_instrumented ?(from = 0) e s ~stats ~emit =
   let traced = !St_trace.Trace.on in
   if traced then St_trace.Trace.begin_span p_run;
   let rc = Run_stats.rule_slots stats (num_rules e) in
-  let sk = ref 0 in
-  let swk = ref 0 in
-  let outcome, dt =
+  let c =
+    cursor e ~emit:(fun _ pos len rule ->
+        Array.unsafe_set rc rule (Array.unsafe_get rc rule + 1);
+        emit ~pos ~len ~rule)
+  in
+  c.tok <- from;
+  let n = String.length s in
+  let (), dt =
     St_util.Timer.time_it (fun () ->
         if Run_stats.heat_enabled stats then begin
           let sv, ss = Run_stats.heat_slots stats (Dfa.size e.dfa) in
-          match e.mode with
-          | Table_k1 tbl ->
-              run_string_k1_heat ~from e tbl rc sk swk sv ss s ~emit
-          | Te te -> run_string_te_heat ~from e te rc sk swk sv ss s ~emit
+          c.visits <- sv;
+          c.skips <- ss;
+          Kernel_heat.run c s from n ~eof:true
         end
-        else
-          match e.mode with
-          | Table_k1 tbl -> run_string_k1_obs ~from e tbl rc sk swk s ~emit
-          | Te te -> run_string_te_obs ~from e te rc sk swk s ~emit)
+        else Kernel.run c s from n ~eof:true)
   in
+  let outcome = if c.tok < n then fail s c.tok else Finished in
   Run_stats.add_run_seconds stats dt;
-  Run_stats.add_chunk stats (String.length s - from);
-  Run_stats.add_accel_skipped stats !sk;
-  Run_stats.add_swar_skipped stats !swk;
+  Run_stats.add_chunk stats (n - from);
+  Run_stats.add_accel_skipped stats c.skipped;
+  Run_stats.add_swar_skipped stats c.swar_skipped;
   Run_stats.set_accel_states stats (accel_states e);
   Run_stats.set_accel_swar_states stats (accel_swar_states e);
-  Run_stats.set_lookahead stats (max e.k 1);
-  Run_stats.observe_buffer stats (lookahead_buffer_bytes e);
+  Run_stats.set_lookahead stats (delay e);
+  Run_stats.observe_buffer stats (delay e);
   Run_stats.set_te_states stats (te_states e);
   (match outcome with
   | Failed _ -> Run_stats.record_failure stats
@@ -708,30 +235,3 @@ let heat_table ?(label = "") e stats =
     bytes = Run_stats.bytes_in stats;
     rows;
   }
-
-module Internal = struct
-  let delay e = max e.k 1
-  let is_reject e q = e.reject.(q)
-  let dfa_start e = e.dfa.Dfa.start
-  let dfa_step e q byte = Dfa.step e.dfa q (Char.unsafe_chr byte)
-  let accept e q = e.dfa.Dfa.accept.(q)
-
-  let la_start e =
-    match e.mode with Table_k1 _ -> 256 | Te te -> Te_dfa.start te
-
-  let la_step e la sym =
-    match e.mode with Table_k1 _ -> sym | Te te -> Te_dfa.step te la sym
-
-  (* [la] is byte-level (0..255 or 256 = EOF); translated here so callers
-     stay independent of the class layout *)
-  let maximal e q la =
-    match e.mode with
-    | Table_k1 tbl ->
-        let nc = Dfa.num_classes e.dfa in
-        let cls = if la = 256 then nc else Dfa.class_of_byte e.dfa la in
-        Bytes.get tbl ((q * (nc + 1)) + cls) = '\001'
-    | Te te -> Te_dfa.emit_bit te la q
-
-  let k1_table e = match e.mode with Table_k1 tbl -> Some tbl | Te _ -> None
-  let te_dfa e = match e.mode with Table_k1 _ -> None | Te te -> Some te
-end

@@ -5,7 +5,31 @@
     lookup per symbol); for max-TND = K ≥ 2 it uses the token-extension DFA
     of Fig. 6 running K symbols ahead of the tokenization DFA. Either way
     the cost is O(1) table lookups per input symbol and the memory footprint
-    is independent of the stream length. *)
+    is independent of the stream length.
+
+    {2 One kernel}
+
+    Each of the two algorithms is one hand-written, chunk-resumable loop
+    (kernel.cppo.ml): it advances a cursor over a range of a string and
+    emits every maximal token as a view [(s, pos, len, rule)]. Without EOF
+    it stops where the lookahead runs out and leaves the last max(K, 1)
+    bytes for the next call. {!run_string} is that loop entered once,
+    over the whole string with EOF as the final lookahead;
+    {!Stream_tokenizer} enters it once per chunk. The only two
+    skip-scanner call sites in this library ([Dfa.skip_run] for Fig. 5,
+    [Dfa.skip_run2] for Fig. 6) are in those loops. The instrumented
+    runner's per-byte state-heat counters come from a second module,
+    [Kernel_heat], that cppo stamps from the same source; skip counts are
+    cursor fields read after the call and rule tallies are taken in the
+    emit callback, so no other variant of the loops exists.
+
+    {2 Lazy failure}
+
+    The loops never test for failure per byte. A DFA state from which no
+    final state is reachable (a reject state) is absorbing and never final,
+    so once the DFA dies nothing more is emitted and the unconsumed tail is
+    the failure: {!run_string} reports [Failed] at the start of the
+    unfinished token. *)
 
 open St_regex
 open St_automata
@@ -83,10 +107,10 @@ val k1_table_bytes : t -> int
 
 (** Approximate resident size, in bytes, of all tables the engine consults
     at run time: DFA transition/accept tables, the Fig. 5 [k1_table] or the
-    materialized token-extension powerstates, and the lookahead buffer the
-    streaming runner keeps (one pending byte for K ≤ 1, a power-of-two ring
-    of capacity ≥ K + 1 otherwise). Monotone in {!te_states}, so it grows
-    as the lazy TE DFA materializes. Used by the RQ6 memory experiment. *)
+    materialized token-extension powerstates, and the max(K, 1) lookahead
+    bytes a chunked run carries between chunks. Monotone in
+    {!te_states}, so it grows as the lazy TE DFA materializes. Used by the
+    RQ6 memory experiment. *)
 val footprint_bytes : t -> int
 
 (** How a run ended: the whole input was tokenized, or tokenization stopped
@@ -104,10 +128,12 @@ val outcome_to_string : outcome -> string
 
 (** [run_string e s ~emit] tokenizes an in-memory string, calling
     [emit ~pos ~len ~rule] for every maximal token, in order. Single
-    left-to-right pass, no backtracking. [from] (default 0) starts
-    tokenization at that offset (the rest of the string is still the
-    lookahead horizon); the emit callback may raise to stop the run
-    early — used by the parallel tokenizer's splice phase. *)
+    left-to-right pass, no backtracking: one kernel call with EOF as the
+    final lookahead. [from] (default 0) starts tokenization at that offset
+    (the rest of the string is still the lookahead horizon); the emit
+    callback may raise to stop the run early — used by the parallel
+    tokenizer's splice phase. On failure, [pending] is the whole rest of
+    the string from the unfinished token's start. *)
 val run_string :
   ?from:int ->
   t ->
@@ -119,11 +145,12 @@ val run_string :
 val tokens : t -> string -> (string * int) list * outcome
 
 (** Instrumented variant of {!run_string}: same token stream, same outcome
-    (differentially tested), plus [stats] recording. The stats are kept off
-    the plain runner entirely — these are separate specializations of the
-    Fig. 5 / Fig. 6 loops whose only per-token extra work is one unchecked
-    per-rule tally increment; bytes/chunk/lookahead/footprint numbers are
-    recorded once per call. *)
+    (differentially tested), plus [stats] recording. The loop is the plain
+    kernel; the per-rule tally is taken in its emit callback, skip counts
+    are read from the cursor after the call, and bytes / chunk / lookahead
+    / footprint numbers are recorded once per call. With
+    [Run_stats.enable_state_heat] the cppo-stamped heat kernel runs
+    instead, adding the two per-byte state counters {!heat_table} reads. *)
 val run_string_instrumented :
   ?from:int ->
   t ->
@@ -152,33 +179,7 @@ val heat_table : ?label:string -> t -> Run_stats.t -> St_trace.Trace.Heat.table
 
 (**/**)
 
-(** Internal plumbing shared with {!Stream_tokenizer}: a uniform view of
-    the two lookahead mechanisms (Fig. 5 table / Fig. 6 token-extension
-    DFA). Not part of the public API. *)
-module Internal : sig
-  (** Lookahead depth: max(K, 1). *)
-  val delay : t -> int
-
-  val is_reject : t -> int -> bool
-  val dfa_start : t -> int
-
-  (** [dfa_step e q byte]. *)
-  val dfa_step : t -> int -> int -> int
-
-  (** Λ(q) or -1. *)
-  val accept : t -> int -> int
-
-  val la_start : t -> int
-
-  (** [la_step e la sym] with [sym] ∈ 0..256 (256 = EOF). *)
-  val la_step : t -> int -> int -> int
-
-  (** [maximal e q la]: should a token ending in state [q] be emitted? *)
-  val maximal : t -> int -> int -> bool
-
-  (** The Fig. 5 table when K ≤ 1. *)
-  val k1_table : t -> Bytes.t option
-
-  (** The token-extension DFA when K ≥ 2. *)
-  val te_dfa : t -> Te_dfa.t option
-end
+(** A fresh kernel cursor over this engine's tables, emitting views —
+    the state {!Stream_tokenizer} drives chunk by chunk. Not part of the
+    public API. *)
+val cursor : t -> emit:(string -> int -> int -> int -> unit) -> Cursor.t

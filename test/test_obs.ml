@@ -395,7 +395,7 @@ let test_footprint_monotone_in_te_states () =
   check "input materializes powerstates" true (states1 > states0);
   check "footprint grows with te_states" true (fp1 > fp0);
   check "growth accounts full rows" true
-    (fp1 - fp0 >= (states1 - states0) * Te_dfa.width (Option.get (Engine.Internal.te_dfa e)) * 8)
+    (fp1 - fp0 >= (states1 - states0) * (Dfa.num_classes (Engine.dfa e) + 1) * 8)
 
 (* On an ASCII grammar the classed tables must be strictly smaller than the
    dense 256-column reference build of the same grammar. *)

@@ -790,6 +790,85 @@ let test_feed_batch_parity () =
   check "empty segments are no-ops" true
     (run_batch [ (0, 0); (0, n); (n, 0) ] = whole)
 
+(* Session encodes TOKENS / IDS straight from the tokenizer's views; a
+   token that straddles FEEDs is a view into the spill buffer. Frame for
+   frame (one batch per FEED), the bytes must equal what the string-emit
+   tokenizer's copied lexemes encode to through [Wire.reply_to_frame]. *)
+let test_straddle_frames_match_string_emit () =
+  let cache = Engine_cache.create () in
+  let vocab = In_channel.with_open_bin "vocab/mini.tiktoken" In_channel.input_all in
+  let bpe_engine =
+    lazy
+      (let v = Result.get_ok (Bpe.Vocab.of_string vocab) in
+       match
+         Engine.compile_rules ~max_states:Bpe.Compiler.default_max_states
+           (Bpe.Compiler.rules_of_vocab v)
+       with
+       | Ok e -> e
+       | Error _ -> assert false)
+  in
+  let input = Gen_data.json ~seed:0x5712L ~target_bytes:3000 () in
+  List.iter
+    (fun (name, req, engine, ids) ->
+      let s = Serve.Session.create { Serve.Session.cache; resolve = Registry.resolve } in
+      (match Serve.Session.handle s req with
+      | [ W.Opened _ ] -> ()
+      | _ -> Alcotest.failf "%s: expected OPENED" name);
+      let emitted = ref [] in
+      let reference =
+        Stream_tokenizer.create (Lazy.force engine) ~emit:(fun lex rule ->
+            emitted := (lex, rule) :: !emitted)
+      in
+      let expected () =
+        let toks = List.rev !emitted in
+        emitted := [];
+        if toks = [] then ""
+        else begin
+          let b = Buffer.create 256 in
+          W.encode_frame b
+            (W.reply_to_frame
+               (if ids then W.Ids (List.map snd toks) else W.Tokens toks));
+          Buffer.contents b
+        end
+      in
+      let framed () =
+        match Serve.Session.batch s with
+        | None -> ""
+        | Some (enc, _) ->
+            let o = Serve.Outbuf.create () in
+            Serve.Outbuf.add_frame o ~tag:(Serve.Session.batch_tag s) enc;
+            Serve.Session.batch_clear s;
+            let b, pos, len = Serve.Outbuf.view o in
+            Bytes.sub_string b pos len
+      in
+      let straddled = ref 0 and pos = ref 0 and i = ref 0 in
+      let n = String.length input in
+      while !pos < n do
+        (* 1-, 2-, 3- and 5-byte FEEDs: most tokens straddle one *)
+        let len = min [| 1; 2; 3; 5 |].(!i mod 4) (n - !pos) in
+        incr i;
+        ignore (Serve.Session.feed s input ~pos:!pos ~len);
+        Stream_tokenizer.feed reference input !pos len;
+        if List.exists (fun (lex, _) -> String.length lex > len) !emitted then
+          incr straddled;
+        check
+          (Printf.sprintf "%s: frame after FEED %d" name !i)
+          true
+          (framed () = expected ());
+        pos := !pos + len
+      done;
+      (match Serve.Session.handle s W.Flush with
+      | [ W.Pending { ok = true; _ } ] -> ()
+      | _ -> Alcotest.failf "%s: expected a clean PENDING" name);
+      ignore (Stream_tokenizer.finish reference);
+      check (name ^ ": final frame") true (framed () = expected ());
+      check (name ^ ": tokens straddled FEEDs") true (!straddled > 0))
+    [
+      ("json TOKENS", W.Open "json", json_engine, false);
+      ("bpe TOKENS", W.Open_bpe { ids = false; vocab }, bpe_engine, false);
+      ("bpe IDS", W.Open_bpe { ids = true; vocab }, bpe_engine, true);
+    ]
+
 (* ---- client escaping ---- *)
 
 let prop_escape_parity =
@@ -836,6 +915,8 @@ let suite =
     Alcotest.test_case "vectored write parity" `Quick
       test_vectored_write_parity;
     Alcotest.test_case "feed_batch parity" `Quick test_feed_batch_parity;
+    Alcotest.test_case "straddling views frame ≡ string emit" `Quick
+      test_straddle_frames_match_string_emit;
     QCheck_alcotest.to_alcotest prop_escape_parity;
     Alcotest.test_case "client padding parity" `Quick test_padded_parity;
   ]

@@ -11,9 +11,8 @@ let engine_of g =
   | Ok e -> e
   | Error _ -> Alcotest.failf "%s: unbounded" g.Grammar.name
 
-let chunked_with_plan e input plan =
-  let acc = ref [] in
-  let st = Stream_tokenizer.create e ~emit:(fun lex r -> acc := (lex, r) :: !acc) in
+(* Feed [input] in the chunk sizes of [plan], then 4 KB chunks. *)
+let feed_plan st input plan =
   let pos = ref 0 in
   let n = String.length input in
   List.iter
@@ -29,8 +28,49 @@ let chunked_with_plan e input plan =
     Stream_tokenizer.feed st input !pos len;
     pos := !pos + len
   done;
-  let o = Stream_tokenizer.finish st in
+  Stream_tokenizer.finish st
+
+let chunked_with_plan e input plan =
+  let acc = ref [] in
+  let st = Stream_tokenizer.create e ~emit:(fun lex r -> acc := (lex, r) :: !acc) in
+  let o = feed_plan st input plan in
   (List.rev !acc, o)
+
+(* The view emitter under a chunk plan: every view must lie inside the
+   string it names, and the views must tile the input — a token's stream
+   offset is the sum of the lengths before it. Tokens come back as
+   (offset, lexeme copied from the view, rule). *)
+let views_with_plan e input plan =
+  let acc = ref [] and off = ref 0 in
+  let st =
+    Stream_tokenizer.create_views e ~emit:(fun s pos len rule ->
+        if pos < 0 || len <= 0 || pos + len > String.length s then
+          Alcotest.failf "view (%d, %d) outside its %d-byte string" pos len
+            (String.length s);
+        acc := (!off, String.sub s pos len, rule) :: !acc;
+        off := !off + len)
+  in
+  let o = feed_plan st input plan in
+  (List.rev !acc, o)
+
+(* Batch and stream report failure at the same offset; their pending
+   bytes differ by contract (batch: the rest of the input). *)
+let same_failure_offset a b =
+  match (a, b) with
+  | Engine.Finished, Engine.Finished -> true
+  | Engine.Failed { offset = a; _ }, Engine.Failed { offset = b; _ } -> a = b
+  | _ -> false
+
+(* Views ≡ the one-shot runner: same offsets (so contiguous), same bytes,
+   same rules, same failure offset. *)
+let views_agree e input plan =
+  let reference = ref [] in
+  let ro =
+    Engine.run_string e input ~emit:(fun ~pos ~len ~rule ->
+        reference := (pos, String.sub input pos len, rule) :: !reference)
+  in
+  let got, o = views_with_plan e input plan in
+  got = List.rev !reference && same_failure_offset ro o
 
 let against_one_shot name g input plans =
   let e = engine_of g in
@@ -44,12 +84,7 @@ let against_one_shot name g input plans =
         (Gen.same_tokens reference got);
       check
         (Printf.sprintf "%s plan %d outcome" name i)
-        true
-        (match (ro, o) with
-        | Engine.Finished, Engine.Finished -> true
-        | Engine.Failed { offset = a; _ }, Engine.Failed { offset = b; _ } ->
-            a = b
-        | _ -> false))
+        true (same_failure_offset ro o))
     plans
 
 let plans = [ [ 1 ]; [ 2; 3; 1 ]; [ 7 ]; [ 64 ]; [ 1; 1; 1; 1; 1000 ] ]
@@ -186,12 +221,62 @@ let prop_random_chunk_plans =
           let reference, ro = Engine.tokens e input in
           let got, o = chunked_with_plan e input plan in
           Gen.same_tokens reference got
-          &&
-          (match (ro, o) with
-          | Engine.Finished, Engine.Finished -> true
-          | Engine.Failed { offset = a; _ }, Engine.Failed { offset = b; _ } ->
-              a = b
-          | _ -> false))
+          && same_failure_offset ro o
+          && views_agree e input plan)
+
+(* The view emitter where chunk cuts land inside the lookahead window: a
+   K = 0, K = 1 and K = 3 grammar and the vendored BPE vocabulary
+   (K = 5), fed 1 byte at a time and in plans of chunks shorter than K,
+   so tokens straddle cuts and their views come from the spill. Each
+   input also runs with \000\255 spliced in, which fails every grammar
+   but the BPE vocabulary (every byte is a token). *)
+let test_views_lookahead_cuts () =
+  let compile rules =
+    match Engine.compile_rules rules with Ok e -> e | Error _ -> assert false
+  in
+  let bpe =
+    let text = In_channel.with_open_bin "vocab/mini.tiktoken" In_channel.input_all in
+    let vocab = Result.get_ok (Bpe.Vocab.of_string text) in
+    match
+      Engine.compile_rules ~max_states:Bpe.Compiler.default_max_states
+        (Bpe.Compiler.rules_of_vocab vocab)
+    with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  let words = Gen_data.csv ~seed:7L ~target_bytes:1_500 () in
+  let json = Gen_data.json ~seed:8L ~target_bytes:1_500 () in
+  let subjects =
+    [
+      (0, compile (Parser.parse_grammar "[a-z]\n[0-9]\n[^a-z0-9\\x00]"), words);
+      (1, compile (Parser.parse_grammar "[a-z]+\n[0-9]+\n[^a-z0-9\\x00]+"), words);
+      (3, engine_of Formats.json, json);
+      (5, bpe, json);
+    ]
+  in
+  List.iter
+    (fun (k, e, input) ->
+      check_int "grammar K" k (Engine.k e);
+      let d = max k 1 in
+      let plans =
+        [ [ 1 ]; [ d ]; [ max 1 (d - 1); 1; d + 1 ]; [ 2; 1; 3; 2; 4 ] ]
+      in
+      let bad = String.sub input 0 700 ^ "\000\255" ^ String.sub input 700 300 in
+      check
+        (Printf.sprintf "K = %d: \\000 variant fails iff not BPE" k)
+        (k < 5)
+        (snd (Engine.tokens e bad) <> Engine.Finished);
+      List.iteri
+        (fun i plan ->
+          List.iter
+            (fun (name, input) ->
+              check
+                (Printf.sprintf "K = %d %s plan %d" k name i)
+                true
+                (views_agree e input (List.concat (List.init 400 (fun _ -> plan)))))
+            [ ("clean", input); ("\\000\\255", bad) ])
+        plans)
+    subjects
 
 (* Chunked accel ≡ chunked noaccel (1k seeded cases): the streaming skip
    loops — M_k1's stop-short re-entry and M_te's dual-cursor skip with the
@@ -277,6 +362,8 @@ let suite =
     Alcotest.test_case "lazy footprint" `Quick test_footprint_grows_lazily;
     Alcotest.test_case "engine reuse" `Quick test_engine_reuse_across_inputs;
     QCheck_alcotest.to_alcotest prop_random_chunk_plans;
+    Alcotest.test_case "views: cuts inside the lookahead (K = 0/1/3/5)" `Quick
+      test_views_lookahead_cuts;
     Alcotest.test_case "accel ≡ noaccel chunked (1k seeded)" `Quick
       test_accel_chunked_parity;
   ]

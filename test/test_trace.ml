@@ -324,6 +324,87 @@ let test_heat_instrumented_parity () =
   in
   check "token streams identical" true (plain = heat)
 
+(* Goldens: the exact heat rows of the instrumented runners on a Fig. 5
+   input (words, K = 1) and a Fig. 6 input (seeded json, K = 3), recorded
+   when each algorithm still had its own heat copy of the loop. Rows are
+   (state, visits, skipped, stop_bytes, rule, accel). Any drift in skip
+   entry, visit counting or the stamped heat kernel shows up here. *)
+let words_heat_golden =
+  [
+    (0, 0, 0, 0, -1, false);
+    (1, 0, 0, 0, -1, true);
+    (2, 8716, 0, 0, 1, false);
+    (3, 25270, 31559, 230, 0, true);
+  ]
+
+let json_heat_golden =
+  [
+    (0, 0, 0, 0, -1, false);
+    (1, 0, 0, 0, -1, true);
+    (2, 1886, 0, 252, 0, true);
+    (3, 5774, 1168, 2, -1, true);
+    (4, 1281, 0, 0, 6, false);
+    (5, 0, 0, 0, -1, false);
+    (6, 1117, 0, 246, 8, true);
+    (7, 602, 0, 0, 5, false);
+    (8, 205, 0, 0, 3, false);
+    (9, 205, 0, 0, 4, false);
+    (10, 153, 0, 0, -1, false);
+    (11, 306, 0, 0, -1, false);
+    (12, 162, 0, 0, -1, false);
+    (13, 202, 0, 0, 1, false);
+    (14, 202, 0, 0, 2, false);
+    (15, 947, 0, 0, 7, false);
+    (16, 0, 0, 0, -1, false);
+    (17, 85, 0, 0, -1, false);
+    (18, 19, 0, 0, -1, false);
+    (19, 153, 0, 0, -1, false);
+    (20, 306, 0, 0, -1, false);
+    (21, 162, 0, 0, -1, false);
+    (22, 225, 0, 246, 8, true);
+    (23, 19, 0, 0, -1, false);
+    (24, 19, 0, 246, 8, true);
+    (25, 153, 0, 0, -1, false);
+    (26, 306, 0, 0, -1, false);
+    (27, 162, 0, 0, -1, false);
+    (28, 153, 0, 0, -1, false);
+    (29, 306, 0, 0, 11, false);
+    (30, 162, 0, 0, 9, false);
+    (31, 153, 0, 0, 10, false);
+  ]
+
+let json_heat_input () = Gen_data.json ~seed:0x4EA7L ~target_bytes:16384 ()
+
+let heat_rows (t : T.Heat.table) =
+  List.map
+    (fun (r : T.Heat.row) ->
+      (r.state, r.visits, r.skipped, r.stop_bytes, r.rule, r.accel))
+    t.rows
+
+let test_heat_goldens () =
+  let row_strings =
+    List.map (fun (q, v, s, b, r, a) -> Printf.sprintf "%d %d %d %d %d %b" q v s b r a)
+  in
+  let golden name e input rows =
+    let t = heat_of_run e input in
+    Alcotest.(check (list string))
+      (name ^ " heat rows") (row_strings rows)
+      (row_strings (heat_rows t));
+    (* visits + skipped = bytes: every byte is counted exactly once *)
+    check_int
+      (name ^ " every byte counted once")
+      (String.length input)
+      (List.fold_left (fun a (_, v, s, _, _, _) -> a + v + s) 0 (heat_rows t))
+  in
+  golden "words" (words_engine ()) (words_input ()) words_heat_golden;
+  let e =
+    match Engine.compile (Grammar.dfa Formats.json) with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  check "json runs the Fig. 6 kernel" true (Engine.k e = 3);
+  golden "json" e (json_heat_input ()) json_heat_golden
+
 let test_heat_json_roundtrip () =
   let t = heat_of_run (words_engine ()) (words_input ()) in
   match T.Heat.of_json (T.Heat.to_json t) with
@@ -351,4 +432,5 @@ let suite =
       test_heat_topn_deterministic;
     Alcotest.test_case "heat parity" `Quick test_heat_instrumented_parity;
     Alcotest.test_case "heat json roundtrip" `Quick test_heat_json_roundtrip;
+    Alcotest.test_case "heat goldens (K = 1 and TE)" `Quick test_heat_goldens;
   ]
