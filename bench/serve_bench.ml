@@ -87,8 +87,8 @@ let best_of rounds f x =
   (!best_dt, !result)
 
 (* ---------------------------------------------------------------- *)
-(* Sharded scaling: M concurrent clients against (a) the classic     *)
-(* single-threaded Io_loop and (b) the Shard pool at N=1,2,4.        *)
+(* Sharded scaling: M concurrent clients against the Shard pool at   *)
+(* N=1,2,4 (N=1 is the scaling baseline).                            *)
 (* Parity is checked per connection with a rolling hash over every   *)
 (* (rule, lexeme) pair, against a direct Stream_tokenizer run — the  *)
 (* sharded path must be token-exact, not just count-exact.           *)
@@ -256,41 +256,9 @@ let close_conns conns =
 
 let results_of conns = List.map (fun c -> (c.tokens, c.hash)) conns
 
-(* The pre-sharding baseline: the classic single-threaded Io_loop in a
-   spawned domain, clients over a real AF_UNIX socket. *)
-let bench_classic ~clients input =
-  let sock = Filename.temp_file "streamtok_bench" ".sock" in
-  Sys.remove sock;
-  let stopf = Atomic.make false in
-  let ready = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        Serve.Io_loop.serve
-          ~on_listening:(fun () -> Atomic.set ready true)
-          ~should_stop:(fun () -> Atomic.get stopf)
-          ~socket:sock ())
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.001
-  done;
-  let conns =
-    List.init clients (fun _ ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX sock);
-        mk_conn fd)
-  in
-  let t0 = Unix.gettimeofday () in
-  drive conns input;
-  let dt = Unix.gettimeofday () -. t0 in
-  close_conns conns;
-  Atomic.set stopf true;
-  Domain.join d;
-  (try Sys.remove sock with Sys_error _ -> ());
-  (dt, results_of conns)
-
 (* The sharded pool: no listener needed — each client side of a
-   socketpair is driven here, the server side handed to a worker via
-   the same [inject] path the acceptor uses. *)
+   socketpair is driven here, the server side handed to a worker through
+   the same queue-and-wakeup handoff worker 0's accepts use. *)
 let bench_pool ~domains ~clients input =
   let pool = Serve.Shard.create_pool ~domains () in
   let conns =
@@ -437,13 +405,6 @@ let run ?(size_mb = 8) () =
       results
   in
   let agg dt = float_of_int clients *. mb /. dt in
-  let classic_dt, classic_res =
-    best_of_runs 2 (fun () -> bench_classic ~clients input)
-  in
-  check "classic" classic_res;
-  let classic_mbps = agg classic_dt in
-  Printf.printf "  io_loop  %8.1f MB/s  (pre-sharding single-threaded loop)\n"
-    classic_mbps;
   let shard_mbps =
     List.map
       (fun n ->
@@ -464,22 +425,13 @@ let run ?(size_mb = 8) () =
       record (Printf.sprintf "shard%d_mb_s" n) mbps;
       if n > 1 then record (Printf.sprintf "shard_speedup_%d" n) (speedup n))
     shard_mbps;
-  record "socket_mb_s" classic_mbps;
   record "cores" (float_of_int cores);
   Printf.printf "  speedups: x%.2f @2 domains, x%.2f @4 domains\n" (speedup 2)
     (speedup 4);
-  (* Gates. Parity is absolute (checked above). The N=1 shard must not
-     regress vs the old loop (it IS the old loop plus one handoff), and
-     the scaling floors only bind when the machine has the cores — on
-     fewer cores the domains timeshare one CPU and the honest
-     expectation is parity, not speedup (recorded regardless). *)
-  if s1 < 0.8 *. classic_mbps then begin
-    Printf.eprintf
-      "serve bench: shard N=1 (%.1f MB/s) regressed vs classic loop (%.1f \
-       MB/s)\n"
-      s1 classic_mbps;
-    exit 1
-  end;
+  (* Gates. Parity is absolute (checked above). The scaling floors only
+     bind when the machine has the cores — on fewer cores the domains
+     timeshare one CPU and the honest expectation is parity, not speedup
+     (recorded regardless). *)
   let floor_gate n floor =
     if cores >= n && speedup n < floor then begin
       Printf.eprintf

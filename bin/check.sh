@@ -119,6 +119,18 @@ while [ ! -S "$sock" ]; do
   sleep 0.1
 done
 
+# --domains 1 is one select loop in the calling domain: no worker domain
+# is spawned, so the process has exactly one thread (Linux only).
+if [ -d "/proc/$srv/task" ]; then
+  threads=$(ls "/proc/$srv/task" | wc -l)
+  if [ "$threads" -ne 1 ]; then
+    echo "serve smoke FAILED: --domains 1 daemon runs $threads threads, want 1"
+    kill -TERM "$srv" 2> /dev/null || true
+    rm -rf "$tmpd"
+    exit 1
+  fi
+fi
+
 # first contact: a small straddle-free run must record zero decoder
 # copies — every frame fits the fresh decoder buffer whole, so the
 # zero-copy view path never has to compact or grow with live bytes.
@@ -234,7 +246,7 @@ echo "== shard check (--domains 2: parity, pool stats, client abort, SIGTERM dra
 # wire: same client output bytes (checked against batch tokenize, which
 # the single-domain leg above also matched), one engine compile pool-wide
 # through the shared cache, and the same abort/drain behavior — a killed
-# client takes down neither its worker domain nor the acceptor.
+# client takes down neither its worker domain nor the accepting worker 0.
 tmpd=$(mktemp -d)
 sock="$tmpd/st.sock"
 "$BIN" serve --socket "$sock" --domains 2 --idle-timeout 30 \
@@ -343,7 +355,8 @@ echo "== fd exhaustion (ulimit -n 16: connect burst, daemon survives, parity)"
 # limit fail with EMFILE and wait in the backlog until connections close.
 # The daemon must stay up, every client must be served and match batch
 # tokenize, the refusals must be counted in STATS, and SIGTERM must still
-# drain cleanly. Both accept loops: --domains 1 and the sharded acceptor.
+# drain cleanly. Both topologies of the one accept loop: --domains 1
+# (worker 0 alone) and --domains 2 (worker 0 handing off to worker 1).
 for domains in 1 2; do
   tmpd=$(mktemp -d)
   sock="$tmpd/st.sock"

@@ -814,11 +814,11 @@ let serve_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Worker domains. 1 (default): the classic single-threaded \
-             select loop. N>1: one acceptor hands connections to $(docv) \
-             worker domains round-robin; the engine cache is shared \
-             (one compile per grammar pool-wide) and STATS aggregates \
-             across the pool.")
+            "Worker domains, the calling one included: it accepts and \
+             hands connections to all $(docv) workers round-robin, \
+             itself among them. 1 (default): one select loop, no other \
+             domain. The engine cache is shared (one compile per \
+             grammar pool-wide) and STATS aggregates across the pool.")
   in
   let run socket max_sessions idle_timeout domains =
     let config =

@@ -39,10 +39,6 @@ let chunk_size = 65536
    only when the queue drops below it, so `Fd input streams in O(1). *)
 let out_budget = 2 * chunk_size
 
-let rec select_eintr r w e timeout =
-  try Unix.select r w e timeout
-  with Unix.Unix_error (Unix.EINTR, _, _) -> select_eintr r w e timeout
-
 let rec read_eintr fd buf pos len =
   try Unix.read fd buf pos len
   with Unix.Unix_error (Unix.EINTR, _, _) -> read_eintr fd buf pos len
@@ -246,7 +242,7 @@ let run ~socket ~grammar ~input ?open_request ?(out = stdout) ?(err = stderr)
         refill ();
         let want_write = Outbuf.length pend > 0 in
         let readable, writable, _ =
-          select_eintr [ fd ] (if want_write then [ fd ] else []) [] 1.0
+          Io_loop.select_eintr [ fd ] (if want_write then [ fd ] else []) [] 1.0
         in
         if readable <> [] then begin
           match Unix.read fd rbuf 0 (Bytes.length rbuf) with

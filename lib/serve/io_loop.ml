@@ -1,17 +1,8 @@
-let stop = ref false
-
 (* io.read wraps the syscall plus the decode/session/flush work done in
    Server.on_data, which nests its own spans inside; io.write is the
    flush syscall side. Both are per-select-readiness, not per-byte. *)
 let p_read = St_trace.Trace.probe ~cat:"io" "io.read"
 let p_write = St_trace.Trace.probe ~cat:"flush" "io.write"
-
-let install_signal_handlers () =
-  let handler = Sys.Signal_handle (fun _ -> stop := true) in
-  Sys.set_signal Sys.sigterm handler;
-  Sys.set_signal Sys.sigint handler;
-  (* A client killed mid-write must not take the daemon down. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let rec select_eintr r w e timeout =
   try Unix.select r w e timeout
@@ -62,11 +53,26 @@ module Core = struct
       vecs = Array.make 3 (Bytes.empty, 0, 0);
     }
 
+  (* [Unix.select] works on FD_SETSIZE-bit sets, and OCaml's binding
+     fails the whole round with EINVAL if any fd in it is past the last
+     bit — one such connection would stop every other one on this loop.
+     Such an fd is refused at the door instead. [Unix.file_descr] is the
+     descriptor number on Unix. *)
+  let fd_setsize = 1024
+
   let register t fd =
     Unix.set_nonblock fd;
-    let id = Server.on_connect t.srv in
-    Hashtbl.replace t.fd_of_id id fd;
-    Hashtbl.replace t.id_of_fd fd id
+    if (Obj.magic fd : int) >= fd_setsize then begin
+      let frame = Server.refuse_fd_ceiling t.srv in
+      (try ignore (Unix.write_substring fd frame 0 (String.length frame))
+       with Unix.Unix_error _ -> ());
+      try Unix.close fd with Unix.Unix_error _ -> ()
+    end
+    else begin
+      let id = Server.on_connect t.srv in
+      Hashtbl.replace t.fd_of_id id fd;
+      Hashtbl.replace t.id_of_fd fd id
+    end
 
   let drop_conn t ~eof id =
     match Hashtbl.find_opt t.fd_of_id id with
@@ -148,69 +154,3 @@ module Core = struct
     Server.on_tick t.srv;
     List.filter (fun fd -> List.memq fd readable) extra
 end
-
-let serve ?config ?(on_listening = fun () -> ()) ?should_stop ~socket () =
-  stop := false;
-  let srv =
-    match config with
-    | None -> Server.create ()
-    | Some config -> Server.create ~config ()
-  in
-  (* A caller-supplied stop predicate (bench harnesses, worker pools)
-     replaces the process-global signal handlers. *)
-  (match should_stop with None -> install_signal_handlers () | Some _ -> ());
-  let stop_requested () =
-    !stop || match should_stop with Some f -> f () | None -> false
-  in
-  let max_timeout = match should_stop with None -> 1.0 | Some _ -> 0.05 in
-  let listen_fd = bind_listener ~socket in
-  on_listening ();
-  let core = Core.create srv in
-  (* Out of file descriptors (EMFILE / ENFILE), the refused connection
-     stays in the backlog and the listener stays readable, so polling it
-     would spin. Stop polling it until a connection closes — or, for
-     descriptors freed outside this loop, until a select timeout has
-     passed — and count the event. *)
-  let paused = ref None in
-  let accept_new () =
-    let continue = ref true in
-    while !continue do
-      match Unix.accept ~cloexec:true listen_fd with
-      | fd, _ -> Core.register core fd
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
-          ()
-      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-          Server.note_accept_exhausted srv;
-          paused := Some (Server.live_conns srv, Unix.gettimeofday ());
-          continue := false
-    done
-  in
-  let listening = ref true in
-  let finished = ref false in
-  while not !finished do
-    if stop_requested () && not (Server.draining srv) then Server.drain srv;
-    if Server.draining srv && !listening then begin
-      listening := false;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ())
-    end;
-    (match !paused with
-    | Some (live, since)
-      when Server.live_conns srv < live
-           || Unix.gettimeofday () -. since >= max_timeout ->
-        paused := None
-    | _ -> ());
-    if Server.draining srv && Server.live_conns srv = 0 then finished := true
-    else begin
-      let extra = if !listening && !paused = None then [ listen_fd ] else [] in
-      let ready = Core.iterate core ~extra ~max_timeout in
-      if ready <> [] then accept_new ()
-    end
-  done;
-  if !listening then begin
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ()
-  end

@@ -1,22 +1,20 @@
-(** The Unix-domain-socket daemon: a single-threaded [Unix.select] loop
-    over non-blocking sockets, driving {!Server}.
+(** The [Unix.select] round over non-blocking sockets that drives a
+    {!Server}, plus the listener bind. The daemon itself — accepting,
+    signals, drain — is {!Shard.serve}, whose every worker (the
+    listener-owning worker 0 included) runs this round.
 
     All byte movement and fd lifecycle lives in {!Core}; protocol and
     policy live in {!Server}/{!Session}, which is why the rest of the
-    subsystem never needs a real socket to be tested. {!Core} is also
-    the per-worker event loop of the sharded server ({!Shard}): a worker
-    domain runs the same select round with its wakeup pipe as the
-    [extra] fd where the daemon has its listener.
+    subsystem never needs a real socket to be tested.
 
     Writes are vectored: a connection's queued replies and its deferred
     token batch (header + session-encoder bytes, never blitted through
-    the out queue) go out in one {!Writev.write}.
+    the out queue) go out in one {!Writev.write}. *)
 
-    Shutdown: SIGTERM/SIGINT set a flag; the loop then calls
-    {!Server.drain} (live sessions get a retryable [Shutting_down]
-    error), stops accepting, flushes every connection's queued replies,
-    and returns once the last connection closes. The socket file is
-    unlinked on exit. *)
+(** [Unix.select], retried on [EINTR] (a signal handler ran). *)
+val select_eintr :
+  Unix.file_descr list -> Unix.file_descr list -> Unix.file_descr list ->
+  float -> Unix.file_descr list * Unix.file_descr list * Unix.file_descr list
 
 (** [bind_listener ~socket] binds and listens on a Unix-domain socket,
     non-blocking. A stale socket file (bind refused, nobody accepting)
@@ -32,7 +30,10 @@ module Core : sig
   val create : Server.t -> t
 
   (** Adopt an accepted (or handed-off) socket: set it non-blocking,
-      {!Server.on_connect} it, track it. *)
+      {!Server.on_connect} it, track it. An fd at or above FD_SETSIZE
+      (1024), which [select] cannot watch, is refused instead: it gets
+      one retryable [Capacity] ERROR frame (written once, best effort)
+      and is closed, counted by {!Server.refuse_fd_ceiling}. *)
   val register : t -> Unix.file_descr -> unit
 
   (** [iterate t ~extra ~max_timeout] runs one select round — reads
@@ -46,15 +47,3 @@ module Core : sig
     t -> extra:Unix.file_descr list -> max_timeout:float ->
     Unix.file_descr list
 end
-
-(** [serve ~socket ()] binds [socket], listens, and runs until drained
-    after a termination signal. [on_listening] fires once the socket is
-    accepting (the CLI prints its ready line from it). [should_stop],
-    when given, replaces the SIGTERM/SIGINT handlers as the stop
-    condition (polled every round, which is then capped at 50 ms) — the
-    harness hook for driving a daemon from a bench or a test without
-    process-global signal state. Raises [Unix.Unix_error] if the socket
-    cannot be bound. *)
-val serve :
-  ?config:Server.config -> ?on_listening:(unit -> unit) ->
-  ?should_stop:(unit -> bool) -> socket:string -> unit -> unit

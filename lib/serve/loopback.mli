@@ -1,4 +1,4 @@
-(** In-memory transport: the deterministic twin of {!Io_loop}.
+(** In-memory transport: the deterministic twin of {!Io_loop.Core}.
 
     A loopback connection is a pair of byte queues (client→server,
     server→client) plus a client-side reply decoder. {!step} moves at

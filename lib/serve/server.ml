@@ -66,6 +66,7 @@ type t = {
   mutable flushes_total : int;
   mutable writevs_total : int;
   mutable accept_exhausted_total : int;
+  mutable fd_ceiling_total : int;
   mutable batch_bytes_direct : int;
   mutable batch_bytes_copied : int;
   mutable peak_sessions : int;
@@ -102,6 +103,7 @@ let create ?cache ?(config = default_config) () =
     flushes_total = 0;
     writevs_total = 0;
     accept_exhausted_total = 0;
+    fd_ceiling_total = 0;
     batch_bytes_direct = 0;
     batch_bytes_copied = 0;
     peak_sessions = 0;
@@ -259,6 +261,7 @@ type totals = {
   tot_flushes : int;
   tot_writevs : int;
   tot_accept_exhausted : int;
+  tot_fd_ceiling : int;
   tot_batch_bytes_direct : int;
   tot_batch_bytes_copied : int;
   tot_decoder_copies : int;
@@ -288,6 +291,7 @@ let totals t =
     tot_flushes = t.flushes_total;
     tot_writevs = t.writevs_total;
     tot_accept_exhausted = t.accept_exhausted_total;
+    tot_fd_ceiling = t.fd_ceiling_total;
     tot_batch_bytes_direct = t.batch_bytes_direct;
     tot_batch_bytes_copied = t.batch_bytes_copied;
     tot_decoder_copies = decoder_copies t;
@@ -299,12 +303,12 @@ let totals t =
     tot_uptime = t.cfg.clock () -. t.started;
   }
 
-(* Fold worker snapshots into one pool-wide view. With a shared engine
-   cache every worker reports the same cache counters, so they are taken
-   once (max, the freshest snapshot) rather than summed; per-domain
-   caches sum. [tot_peak] sums per-worker peaks — an upper bound on the
-   true pool-wide concurrent peak, which no worker can observe alone. *)
-let sum_totals ~shared_cache = function
+(* Fold worker snapshots into one pool-wide view. The workers share one
+   engine cache, so every snapshot reports the same cache counters: they
+   are taken once (max, the freshest snapshot) rather than summed.
+   [tot_peak] sums per-worker peaks — an upper bound on the true
+   pool-wide concurrent peak, which no worker can observe alone. *)
+let sum_totals = function
   | [] -> invalid_arg "Server.sum_totals: empty"
   | first :: rest ->
       let acc =
@@ -334,24 +338,17 @@ let sum_totals ~shared_cache = function
               tot_writevs = a.tot_writevs + x.tot_writevs;
               tot_accept_exhausted =
                 a.tot_accept_exhausted + x.tot_accept_exhausted;
+              tot_fd_ceiling = a.tot_fd_ceiling + x.tot_fd_ceiling;
               tot_batch_bytes_direct =
                 a.tot_batch_bytes_direct + x.tot_batch_bytes_direct;
               tot_batch_bytes_copied =
                 a.tot_batch_bytes_copied + x.tot_batch_bytes_copied;
               tot_decoder_copies = a.tot_decoder_copies + x.tot_decoder_copies;
-              tot_cache_compiles =
-                (if shared_cache then max a.tot_cache_compiles x.tot_cache_compiles
-                 else a.tot_cache_compiles + x.tot_cache_compiles);
-              tot_cache_hits =
-                (if shared_cache then max a.tot_cache_hits x.tot_cache_hits
-                 else a.tot_cache_hits + x.tot_cache_hits);
+              tot_cache_compiles = max a.tot_cache_compiles x.tot_cache_compiles;
+              tot_cache_hits = max a.tot_cache_hits x.tot_cache_hits;
               tot_cache_evictions =
-                (if shared_cache then
-                   max a.tot_cache_evictions x.tot_cache_evictions
-                 else a.tot_cache_evictions + x.tot_cache_evictions);
-              tot_cache_entries =
-                (if shared_cache then max a.tot_cache_entries x.tot_cache_entries
-                 else a.tot_cache_entries + x.tot_cache_entries);
+                max a.tot_cache_evictions x.tot_cache_evictions;
+              tot_cache_entries = max a.tot_cache_entries x.tot_cache_entries;
               tot_uptime = Float.max a.tot_uptime x.tot_uptime;
             })
         rest;
@@ -385,6 +382,10 @@ let registry_of_totals tot =
     "accepts refused for lack of file descriptors (EMFILE/ENFILE); the \
      listener pauses"
     tot.tot_accept_exhausted;
+  counter "accept_fd_ceiling"
+    "connections refused because their descriptor number is past select's \
+     FD_SETSIZE (1024)"
+    tot.tot_fd_ceiling;
   counter "batch_bytes_direct"
     "token-batch frame bytes written in place by writev (no out-queue blit)"
     tot.tot_batch_bytes_direct;
@@ -414,11 +415,20 @@ let registry_of_totals tot =
   gauge "uptime_seconds" "seconds since server start" tot.tot_uptime;
   r
 
-let add_accept_exhausted tot n =
-  { tot with tot_accept_exhausted = tot.tot_accept_exhausted + n }
-
 let note_accept_exhausted t =
   t.accept_exhausted_total <- t.accept_exhausted_total + 1
+
+let refuse_fd_ceiling t =
+  t.fd_ceiling_total <- t.fd_ceiling_total + 1;
+  Buffer.clear t.scratch;
+  Wire.encode_reply t.scratch
+    (Wire.Error
+       {
+         code = Wire.Capacity;
+         retryable = true;
+         message = "server out of pollable descriptors; retry later";
+       });
+  Buffer.contents t.scratch
 
 let stats_registry_impl t = registry_of_totals (totals t)
 

@@ -3,10 +3,10 @@
     One {!t} holds the session table, the (possibly shared — see
     {!create}'s [cache]) {!St_streamtok.Engine_cache}, per-connection
     frame decoders and bounded output queues, and the server-wide
-    metrics. A transport (the [Unix.select] daemon in {!Io_loop}, a
-    {!Shard} worker domain, the in-memory {!Loopback} in tests and
-    benchmarks) owns the actual byte movement and drives this module
-    through a small event/query interface:
+    metrics. A transport (a {!Shard} worker's [Unix.select] round in
+    {!Io_loop.Core}, the in-memory {!Loopback} in tests and benchmarks)
+    owns the actual byte movement and drives this module through a
+    small event/query interface:
 
     - events in: {!on_connect}, {!on_data}, {!on_eof}, {!on_closed},
       {!on_tick};
@@ -156,29 +156,30 @@ type totals
 
 val totals : t -> totals
 
-(** [sum_totals ~shared_cache snapshots] folds worker snapshots into one
-    pool-wide view: counters sum, latency histograms merge exactly
-    (shared log2 buckets), uptime takes the max. With [shared_cache]
-    every worker reports the same engine-cache counters, so they are
-    taken once (max — the freshest snapshot) instead of summed.
-    [sessions_peak] sums per-worker peaks: an upper bound on the true
-    pool-wide concurrent peak, which no single worker can observe.
-    Raises [Invalid_argument] on an empty list. *)
-val sum_totals : shared_cache:bool -> totals list -> totals
+(** [sum_totals snapshots] folds worker snapshots into one pool-wide
+    view: counters sum, latency histograms merge exactly (shared log2
+    buckets), uptime takes the max. The workers share one engine cache,
+    so its counters, the same in every snapshot, are taken once (max —
+    the freshest snapshot) instead of summed. [sessions_peak] sums
+    per-worker peaks: an upper bound on the true pool-wide concurrent
+    peak, which no single worker can observe. Raises [Invalid_argument]
+    on an empty list. *)
+val sum_totals : totals list -> totals
 
 (** Render a snapshot with exactly the same metric names and shapes as
     {!stats_registry}, so aggregated (sharded) STATS replies are
     indistinguishable from single-domain ones. *)
 val registry_of_totals : totals -> Metrics.Registry.t
 
-(** [add_accept_exhausted tot n]: [tot] with [n] more refused accepts —
-    how the sharded acceptor, which runs outside every worker's server,
-    adds its count to the pool-wide view. *)
-val add_accept_exhausted : totals -> int -> totals
-
 (** Count one [accept] refused for lack of file descriptors (EMFILE /
     ENFILE) — the [accept_fd_exhausted] counter. *)
 val note_accept_exhausted : t -> unit
+
+(** Count one connection refused because its descriptor is past
+    [select]'s FD_SETSIZE — the [accept_fd_ceiling] counter — and return
+    the encoded retryable [Capacity] ERROR frame to write to it before
+    closing it. The connection never becomes a session. *)
+val refuse_fd_ceiling : t -> string
 
 (** Install the STATS responder: when set, a STATS request is answered
     with [f ()]'s registry instead of this instance's own — the hook a
@@ -190,6 +191,6 @@ val set_stats_hook : t -> (unit -> Metrics.Registry.t) -> unit
     per-FEED-batch latency log2 histogram in nanoseconds, [feed_batches]
     / [decoder_copies] / [writevs] / [batch_bytes_direct] /
     [batch_bytes_copied] data-plane counters, the [accept_fd_exhausted]
-    counter, engine-cache compile/hit counters, uptime). Equal to
+    and [accept_fd_ceiling] counters, engine-cache compile/hit counters, uptime). Equal to
     [registry_of_totals (totals t)]. *)
 val stats_registry : t -> Metrics.Registry.t

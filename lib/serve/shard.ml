@@ -2,7 +2,7 @@ open St_streamtok
 
 type worker = {
   idx : int;
-  queue : Unix.file_descr Queue.t;  (* acceptor -> worker fd handoff *)
+  queue : Unix.file_descr Queue.t;  (* fd handoff into this worker *)
   mu : Mutex.t;  (* guards [queue] *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -12,13 +12,14 @@ type worker = {
 
 type t = {
   cfg : Server.config;
-  cache : Engine_cache.t option;  (* [Some] = one shared locked cache *)
+  cache : Engine_cache.t;  (* one locked cache shared by every worker *)
   workers : worker array;
   stop_flag : bool Atomic.t;
-  accept_exhausted : int Atomic.t;  (* acceptor EMFILE/ENFILE count *)
   pub_mu : Mutex.t;
   mutable rr : int;  (* round-robin handoff cursor *)
 }
+
+type listener = { fd : Unix.file_descr; socket : string }
 
 let wake_byte = Bytes.make 1 '!'
 
@@ -32,13 +33,18 @@ let wake w =
   ->
     ()
 
-let shared_cache pool = Option.is_some pool.cache
+let push w fd =
+  Mutex.lock w.mu;
+  Queue.push fd w.queue;
+  Mutex.unlock w.mu;
+  wake w
 
-let pool_registry pool snaps =
-  Server.registry_of_totals
-    (Server.add_accept_exhausted
-       (Server.sum_totals ~shared_cache:(shared_cache pool) snaps)
-       (Atomic.get pool.accept_exhausted))
+let next_worker pool =
+  let w = pool.workers.(pool.rr mod Array.length pool.workers) in
+  pool.rr <- pool.rr + 1;
+  w
+
+let pool_registry snaps = Server.registry_of_totals (Server.sum_totals snaps)
 
 (* Pool-wide aggregated stats: the calling worker's live snapshot plus
    every other worker's last published one (at most ~50 ms + one select
@@ -52,8 +58,7 @@ let aggregate pool ~self_idx own =
          pool.workers)
   in
   Mutex.unlock pool.pub_mu;
-  let snaps = List.filter_map Fun.id snaps in
-  pool_registry pool snaps
+  pool_registry (List.filter_map Fun.id snaps)
 
 let stats pool =
   Mutex.lock pool.pub_mu;
@@ -61,12 +66,21 @@ let stats pool =
     Array.to_list pool.workers |> List.filter_map (fun w -> w.published)
   in
   Mutex.unlock pool.pub_mu;
-  match snaps with
-  | [] -> None
-  | snaps -> Some (pool_registry pool snaps)
+  match snaps with [] -> None | snaps -> Some (pool_registry snaps)
 
-let worker_loop pool w =
-  let srv = Server.create ?cache:pool.cache ~config:pool.cfg () in
+let stop pool =
+  Atomic.set pool.stop_flag true;
+  Array.iter wake pool.workers
+
+let max_timeout = 0.25
+
+(* One worker's event loop. With [~listener] (worker 0 of {!serve}) it
+   also accepts, handing each new fd to the next worker round-robin —
+   itself included, registered directly, so a one-worker pool never
+   touches a queue, a mutex or a pipe — and on stop closes and unlinks
+   the socket before draining like every other worker. *)
+let worker_loop pool w ~listener =
+  let srv = Server.create ~cache:pool.cache ~config:pool.cfg () in
   Server.set_stats_hook srv (fun () ->
       aggregate pool ~self_idx:w.idx (Server.totals srv));
   let core = Io_loop.Core.create srv in
@@ -103,40 +117,76 @@ let worker_loop pool w =
           continue := false
     done
   in
+  (* Out of file descriptors (EMFILE / ENFILE), the refused connection
+     stays in the backlog and the listener stays readable, so polling it
+     would spin. Stop polling it until one of this worker's connections
+     closes — or, for descriptors freed elsewhere, until a select timeout
+     has passed — and count the event. *)
+  let paused = ref None in
+  let accept_new listen_fd =
+    let continue = ref true in
+    while !continue do
+      match Unix.accept ~cloexec:true listen_fd with
+      | fd, _ ->
+          let dst = next_worker pool in
+          if dst == w then Io_loop.Core.register core fd else push dst fd
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          continue := false
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
+          ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          Server.note_accept_exhausted srv;
+          paused := Some (Server.live_conns srv, Unix.gettimeofday ());
+          continue := false
+    done
+  in
   publish ~force:true;
   let finished = ref false in
   while not !finished do
     if Atomic.get pool.stop_flag && not (Server.draining srv) then begin
+      (match listener with
+      | Some l ->
+          (try Unix.close l.fd with Unix.Unix_error _ -> ());
+          (try Unix.unlink l.socket with Unix.Unix_error _ | Sys_error _ -> ())
+      | None -> ());
       (* adopt handoffs still queued so they get the drain reply too *)
       drain_queue ();
       Server.drain srv
     end;
+    (match !paused with
+    | Some (live, since)
+      when Server.live_conns srv < live
+           || Unix.gettimeofday () -. since >= max_timeout ->
+        paused := None
+    | _ -> ());
     if Server.draining srv && Server.live_conns srv = 0 then finished := true
     else begin
-      let ready =
-        Io_loop.Core.iterate core ~extra:[ w.wake_r ] ~max_timeout:0.25
+      let extra =
+        match listener with
+        | Some l when !paused = None && not (Server.draining srv) ->
+            [ w.wake_r; l.fd ]
+        | _ -> [ w.wake_r ]
       in
-      if ready <> [] then begin
-        drain_wakeup ();
-        drain_queue ()
-      end;
+      let ready = Io_loop.Core.iterate core ~extra ~max_timeout in
+      List.iter
+        (fun fd ->
+          if fd == w.wake_r then begin
+            drain_wakeup ();
+            drain_queue ()
+          end
+          else accept_new fd)
+        ready;
       publish ~force:false
     end
   done;
   publish ~force:true
 
-let create_pool ?(config = Server.default_config) ?(cache_mode = `Shared)
-    ~domains () =
+let make_pool ?(config = Server.default_config) ~domains () =
   (* a worker writing to a freshly-dead client must not kill the process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let n = max 1 domains in
-  let cache =
-    match cache_mode with
-    | `Shared -> Some (Engine_cache.create ~max_entries:config.cache_entries ())
-    | `Per_domain -> None
-  in
   let workers =
-    Array.init n (fun idx ->
+    Array.init (max 1 domains) (fun idx ->
         let wake_r, wake_w = Unix.pipe ~cloexec:true () in
         Unix.set_nonblock wake_r;
         Unix.set_nonblock wake_w;
@@ -150,35 +200,25 @@ let create_pool ?(config = Server.default_config) ?(cache_mode = `Shared)
           domain = None;
         })
   in
-  let pool =
-    {
-      cfg = config;
-      cache;
-      workers;
-      stop_flag = Atomic.make false;
-      accept_exhausted = Atomic.make 0;
-      pub_mu = Mutex.create ();
-      rr = 0;
-    }
-  in
-  Array.iter
-    (fun w -> w.domain <- Some (Domain.spawn (fun () -> worker_loop pool w)))
+  {
+    cfg = config;
+    cache = Engine_cache.create ~max_entries:config.cache_entries ();
     workers;
+    stop_flag = Atomic.make false;
+    pub_mu = Mutex.create ();
+    rr = 0;
+  }
+
+let spawn pool w =
+  w.domain <-
+    Some (Domain.spawn (fun () -> worker_loop pool w ~listener:None))
+
+let create_pool ?config ~domains () =
+  let pool = make_pool ?config ~domains () in
+  Array.iter (spawn pool) pool.workers;
   pool
 
-let domains pool = Array.length pool.workers
-
-let inject pool fd =
-  let w = pool.workers.(pool.rr mod Array.length pool.workers) in
-  pool.rr <- pool.rr + 1;
-  Mutex.lock w.mu;
-  Queue.push fd w.queue;
-  Mutex.unlock w.mu;
-  wake w
-
-let stop pool =
-  Atomic.set pool.stop_flag true;
-  Array.iter wake pool.workers
+let inject pool fd = push (next_worker pool) fd
 
 let join pool =
   Array.iter
@@ -192,61 +232,13 @@ let join pool =
       try Unix.close w.wake_w with Unix.Unix_error _ -> ())
     pool.workers
 
-let rec select_eintr r w e timeout =
-  try Unix.select r w e timeout
-  with Unix.Unix_error (Unix.EINTR, _, _) -> select_eintr r w e timeout
-
-let serve ?config ?(on_listening = fun () -> ()) ?should_stop ?cache_mode
-    ~domains ~socket () =
-  if domains <= 1 then Io_loop.serve ?config ~on_listening ?should_stop ~socket ()
-  else begin
-    let pool = create_pool ?config ?cache_mode ~domains () in
-    let sigstop = Atomic.make false in
-    (match should_stop with
-    | Some _ -> ()
-    | None ->
-        let handler = Sys.Signal_handle (fun _ -> Atomic.set sigstop true) in
-        Sys.set_signal Sys.sigterm handler;
-        Sys.set_signal Sys.sigint handler);
-    let stop_requested () =
-      Atomic.get sigstop
-      || match should_stop with Some f -> f () | None -> false
-    in
-    let listen_fd = Io_loop.bind_listener ~socket in
-    on_listening ();
-    let timeout = match should_stop with None -> 0.25 | Some _ -> 0.05 in
-    (* Out of file descriptors (EMFILE / ENFILE): the listener stays
-       readable with the refused connection in its backlog, so back off
-       for one select timeout without polling it; the workers close
-       connections meanwhile. *)
-    let paused = ref false in
-    let accept_new () =
-      let continue = ref true in
-      while !continue do
-        match Unix.accept ~cloexec:true listen_fd with
-        | fd, _ -> inject pool fd
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception
-            Unix.Unix_error ((Unix.ECONNABORTED | Unix.EPERM), _, _) ->
-            ()
-        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-            Atomic.incr pool.accept_exhausted;
-            paused := true;
-            continue := false
-      done
-    in
-    while not (stop_requested ()) do
-      let listen = if !paused then [] else [ listen_fd ] in
-      paused := false;
-      match select_eintr listen [] [] timeout with
-      | [], _, _ -> ()
-      | _ -> accept_new ()
-    done;
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
-    stop pool;
-    join pool
-  end
+let serve ?config ?(on_listening = fun () -> ()) ~domains ~socket () =
+  let fd = Io_loop.bind_listener ~socket in
+  let pool = make_pool ?config ~domains () in
+  let handler = Sys.Signal_handle (fun _ -> stop pool) in
+  Sys.set_signal Sys.sigterm handler;
+  Sys.set_signal Sys.sigint handler;
+  Array.iteri (fun i w -> if i > 0 then spawn pool w) pool.workers;
+  on_listening ();
+  worker_loop pool pool.workers.(0) ~listener:(Some { fd; socket });
+  join pool

@@ -1,44 +1,36 @@
-(** The domain-sharded server: one acceptor, N worker domains.
+(** The daemon: a pool of worker domains, the calling one among them.
 
-    Unix-domain sockets have no [SO_REUSEPORT]-style kernel load
-    balancing, so the pool keeps a single accepting fd and {e hands
-    accepted connections off}: {!inject} picks a worker round-robin,
-    pushes the fd onto that worker's mutex-guarded queue, and writes one
-    byte into the worker's wakeup pipe. Each worker domain owns a full
-    single-domain serving stack — its own {!Server.t} session table,
-    decoders, output queues, and an {!Io_loop.Core} select loop whose
-    [extra] fd is the wakeup pipe — so the data plane runs without any
-    cross-domain synchronization. Only two things cross domains: the
-    engine cache (one mutex-guarded {!St_streamtok.Engine_cache} shared
-    by default, so N workers OPENing one grammar cost one compile) and
-    the stats snapshots ({!Server.totals}, published by each worker
-    under the pool mutex every ≤50 ms, aggregated by
+    Every worker runs the same loop: a full single-domain serving stack —
+    its own {!Server.t} session table, decoders, output queues, and an
+    {!Io_loop.Core} select round whose [extra] fds are its wakeup pipe
+    and, for worker 0 of {!serve}, the listener. Unix-domain sockets
+    have no [SO_REUSEPORT]-style kernel load balancing, so worker 0
+    accepts for everyone and hands each fd to the next worker
+    round-robin: its own turns are registered directly; the others are
+    pushed onto that worker's mutex-guarded queue with one byte written
+    into its wakeup pipe. With one domain, nothing is spawned and no
+    handoff happens at all — the daemon is one select loop.
+
+    Only two things cross domains: the engine cache (one mutex-guarded
+    {!St_streamtok.Engine_cache}, so N workers OPENing one grammar cost
+    one compile) and the stats snapshots ({!Server.totals}, published by
+    each worker under the pool mutex every ≤50 ms, aggregated by
     {!Server.sum_totals} — a STATS request to any worker answers for
     the whole pool).
 
     Shutdown: {!stop} raises the pool-wide flag and pokes every wakeup
-    pipe; workers adopt any still-queued handoffs (so those clients get
-    the retryable [Shutting_down] reply rather than a hangup), drain
-    their sessions, and exit once their last connection closes; {!join}
-    waits for them. Do not {!inject} after {!stop}. *)
+    pipe; worker 0 closes and unlinks the listener; every worker adopts
+    any still-queued handoffs (so those clients get the retryable
+    [Shutting_down] reply rather than a hangup), drains its sessions,
+    and exits once its last connection closes; {!join} waits for them. *)
 
 type t
 
-(** [create_pool ~domains ()] spawns the worker domains immediately
-    (also ignores SIGPIPE process-wide — a worker writing to a dead
-    client must not kill the daemon). [cache_mode] selects the engine
-    cache layout: [`Shared] (default — one locked cache, exactly-one
-    compile per grammar pool-wide; the measured winner, see DESIGN.md)
-    or [`Per_domain] (no cross-domain cache traffic, up to [domains]
-    compiles per grammar). *)
-val create_pool :
-  ?config:Server.config ->
-  ?cache_mode:[ `Shared | `Per_domain ] ->
-  domains:int ->
-  unit ->
-  t
-
-val domains : t -> int
+(** [create_pool ~domains ()] spawns [domains] worker domains with no
+    listener, fed by {!inject} (tests, benchmarks). Also ignores SIGPIPE
+    process-wide — a worker writing to a dead client must not kill the
+    process. *)
+val create_pool : ?config:Server.config -> domains:int -> unit -> t
 
 (** Hand an accepted (or [socketpair]) fd to the next worker
     round-robin. The worker sets it non-blocking and adopts it as a
@@ -46,11 +38,11 @@ val domains : t -> int
 val inject : t -> Unix.file_descr -> unit
 
 (** Begin pool-wide drain (idempotent, callable from any domain or a
-    signal handler via an {!Atomic}). *)
+    signal handler). *)
 val stop : t -> unit
 
-(** Wait for every worker to finish draining, then release the wakeup
-    pipes. *)
+(** Wait for every spawned worker to finish draining, then release the
+    wakeup pipes. *)
 val join : t -> unit
 
 (** Pool-wide aggregated metrics from the workers' last published
@@ -59,18 +51,16 @@ val join : t -> unit
     {!Server.stats_registry}. *)
 val stats : t -> St_obs.Metrics.Registry.t option
 
-(** [serve ~domains ~socket ()] — the sharded daemon: binds [socket]
-    (same stale-file handling as {!Io_loop.serve}), accepts in the
-    calling domain, hands off to [domains] workers, and on
-    SIGTERM/SIGINT (or [should_stop]) stops accepting, unlinks the
-    socket, drains the pool, and joins. [domains <= 1] delegates to the
-    classic single-threaded {!Io_loop.serve} — byte-identical behavior,
-    no domain machinery at all. *)
+(** [serve ~domains ~socket ()] — the daemon. Binds [socket] with
+    {!Io_loop.bind_listener} (a stale socket file is replaced, a live
+    one raises [Unix.Unix_error EADDRINUSE]), spawns workers
+    [1..domains-1], calls [on_listening], and runs worker 0 — the
+    acceptor — in the calling domain. On SIGTERM/SIGINT it stops
+    accepting, unlinks the socket, drains every worker, joins them and
+    returns. *)
 val serve :
   ?config:Server.config ->
   ?on_listening:(unit -> unit) ->
-  ?should_stop:(unit -> bool) ->
-  ?cache_mode:[ `Shared | `Per_domain ] ->
   domains:int ->
   socket:string ->
   unit ->

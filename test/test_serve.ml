@@ -104,10 +104,13 @@ let prop_chunked_decode =
               pos := !pos + n;
               let continue = ref true in
               while !continue do
-                match W.Decoder.next d with
-                | W.Decoder.Frame f -> frames := f :: !frames
-                | W.Decoder.Need_more -> continue := false
-                | W.Decoder.Corrupt _ ->
+                match W.Decoder.next_view d with
+                | W.Decoder.View v ->
+                    frames :=
+                      { W.tag = v.vtag; payload = W.Decoder.view_string v }
+                      :: !frames
+                | W.Decoder.View_need_more -> continue := false
+                | W.Decoder.View_corrupt _ ->
                     ok := false;
                     continue := false
               done)

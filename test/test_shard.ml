@@ -143,25 +143,60 @@ let pool_counter reg name =
       Obs.Metrics.Counter.value c
   | _ -> Alcotest.fail (Printf.sprintf "no counter %s" name)
 
+(* (code, retryable) of every ERROR reply in a reply stream *)
+let error_replies s =
+  match W.decode_all s with
+  | Error msg -> Alcotest.fail ("corrupt reply stream: " ^ msg)
+  | Ok frames ->
+      List.filter_map
+        (fun f ->
+          match W.reply_of_frame f with
+          | Ok (W.Error { code; retryable; _ }) -> Some (code, retryable)
+          | _ -> None)
+        frames
+
+let json_input = Gen_data.json ~seed:0x5EEDL ~target_bytes:2048 ()
+
+let json_reqs =
+  encode_reqs [ W.Open "json"; W.Feed json_input; W.Flush; W.Close ]
+
+(* [json_input]'s tokens straight from the engine: what every session
+   sent [json_reqs] must receive *)
+let json_expect =
+  lazy
+    (let engine =
+       match Engine.compile (Grammar.dfa Formats.json) with
+       | Ok e -> e
+       | Error _ -> assert false
+     in
+     let expect = ref [] in
+     let tok =
+       Stream_tokenizer.create engine ~emit:(fun lex rule ->
+           expect := (lex, rule) :: !expect)
+     in
+     Stream_tokenizer.feed_string tok json_input;
+     (match Stream_tokenizer.finish tok with
+     | Engine.Finished -> ()
+     | Engine.Failed _ -> assert false);
+     List.rev !expect)
+
+let check_parity s =
+  check "no error reply" false (has_error_frame s);
+  check "token parity with direct engine" true
+    (tokens_of_stream s = Lazy.force json_expect)
+
+(* A client socketpair whose server end is handed to [pool]. Reads time
+   out rather than hang if no worker ever answers. *)
+let inject_client pool =
+  let cl, sv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float cl Unix.SO_RCVTIMEO 10.;
+  Serve.Shard.inject pool sv;
+  cl
+
 let test_pool_parity_and_stats () =
-  let input = Gen_data.json ~seed:0x5EEDL ~target_bytes:2048 () in
-  let engine =
-    match Engine.compile (Grammar.dfa Formats.json) with
-    | Ok e -> e
-    | Error _ -> assert false
-  in
-  let expect = ref [] in
-  let tok =
-    Stream_tokenizer.create engine ~emit:(fun lex rule ->
-        expect := (lex, rule) :: !expect)
-  in
-  Stream_tokenizer.feed_string tok input;
-  (match Stream_tokenizer.finish tok with
-  | Engine.Finished -> ()
-  | Engine.Failed _ -> assert false);
-  let expect = List.rev !expect in
+  let expect = Lazy.force json_expect in
   let pool = Serve.Shard.create_pool ~domains:2 () in
-  let reqs = encode_reqs [ W.Open "json"; W.Feed input; W.Flush; W.Close ] in
+  let reqs = json_reqs in
   let clients =
     List.init 4 (fun _ ->
         let cl, sv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -211,6 +246,74 @@ let test_stop_with_inflight_handoff () =
   check "connection resolved without wedging" true
     (s = "" || tokens_of_stream s <> [] || has_error_frame s)
 
+let test_fd_ceiling () =
+  (* An fd past select's FD_SETSIZE is refused at registration: one
+     retryable Capacity ERROR, then EOF, and the worker it landed on
+     keeps serving. 1024 is the first descriptor select cannot watch. *)
+  let high : Unix.file_descr = Obj.magic 1024 in
+  let cl, sv = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.dup2 ~cloexec:true sv high with
+  | exception Unix.Unix_error (Unix.EBADF, _, _) ->
+      (* the descriptor limit is at or below 1024 *)
+      Unix.close cl;
+      Unix.close sv;
+      Alcotest.skip ()
+  | () -> (
+      Unix.close sv;
+      Unix.setsockopt_float cl Unix.SO_RCVTIMEO 10.;
+      let pool = Serve.Shard.create_pool ~domains:2 () in
+      Serve.Shard.inject pool high;
+      let refused = read_all cl in
+      Unix.close cl;
+      (* round-robin puts one of these on the refusing worker *)
+      let clients = List.init 2 (fun _ -> inject_client pool) in
+      List.iter (fun cl -> write_all cl json_reqs) clients;
+      let streams = List.map read_all clients in
+      List.iter Unix.close clients;
+      Serve.Shard.stop pool;
+      Serve.Shard.join pool;
+      check "one retryable capacity error" true
+        (error_replies refused = [ (W.Capacity, true) ]);
+      List.iter check_parity streams;
+      match Serve.Shard.stats pool with
+      | None -> Alcotest.fail "pool published no stats"
+      | Some reg ->
+          check_int "refusal counted" 1 (pool_counter reg "accept_fd_ceiling");
+          check_int "refused fd never became a session" 2
+            (pool_counter reg "sessions_opened"))
+
+let test_slow_peers_evicted () =
+  (* 300 peers that send half a FEED header and stall: the idle timeout
+     evicts every one with the retryable error, and the pool still
+     serves a fresh client afterwards. *)
+  let n = 300 in
+  let config =
+    { Serve.Server.default_config with idle_timeout = 0.5; max_sessions = n }
+  in
+  let pool = Serve.Shard.create_pool ~config ~domains:2 () in
+  let half_header = Bytes.sub (encode_reqs [ W.Feed "stalled" ]) 0 2 in
+  let peers = List.init n (fun _ -> inject_client pool) in
+  List.iter (fun cl -> write_all cl half_header) peers;
+  let streams = List.map read_all peers in
+  List.iter Unix.close peers;
+  List.iter
+    (fun s ->
+      check "evicted with a retryable error" true
+        (error_replies s = [ (W.Shutting_down, true) ]))
+    streams;
+  let fresh = inject_client pool in
+  write_all fresh json_reqs;
+  let s = read_all fresh in
+  Unix.close fresh;
+  Serve.Shard.stop pool;
+  Serve.Shard.join pool;
+  check_parity s;
+  match Serve.Shard.stats pool with
+  | None -> Alcotest.fail "pool published no stats"
+  | Some reg ->
+      check_int "every stalled peer evicted, pool-wide" n
+        (pool_counter reg "sessions_evicted_idle")
+
 let suite =
   [
     Alcotest.test_case "cache storm: exactly one compile" `Quick
@@ -223,4 +326,7 @@ let suite =
       test_pool_parity_and_stats;
     Alcotest.test_case "stop with in-flight handoff" `Quick
       test_stop_with_inflight_handoff;
+    Alcotest.test_case "fd past the select ceiling refused" `Quick
+      test_fd_ceiling;
+    Alcotest.test_case "slow peers evicted" `Quick test_slow_peers_evicted;
   ]
