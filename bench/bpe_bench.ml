@@ -69,6 +69,40 @@ let record name v =
     ~labels:[ ("vocab", "mini") ]
     v
 
+(* Memory gate: the heap a fresh engine holds per materialized TE-DFA
+   powerstate after a cold pass over a seeded 32 KB corpus. A powerstate
+   costs its transition row (8 bytes per column), its emit-bit row, its
+   accel slots and its sparse powerset; a dense bitset over the whole
+   token-extension NFA (F·M·K + F·K bits, ~87 KB on this vocabulary) would
+   fail it. *)
+let max_bytes_per_te_state = 16384
+
+let memory_gate d =
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let e =
+    match Engine.compile d with
+    | Ok e -> e
+    | Error Engine.Unbounded_tnd -> assert false
+  in
+  ignore (engine_ids e (Bpe.Trainer.gen_corpus (Prng.create 101L) 32768));
+  Gc.full_major ();
+  let held = ((Gc.stat ()).Gc.live_words - live0) * (Sys.word_size / 8) in
+  let states = Engine.te_states e in
+  let per_state = held / max states 1 in
+  Printf.printf
+    "  memory: cold 32 KB pass -> %d powerstates, %d heap bytes held (%d B per \
+     powerstate, gate %d)\n"
+    states held per_state max_bytes_per_te_state;
+  record "te_states_cold_32k" (float_of_int states);
+  record "heap_bytes_per_te_state" (float_of_int per_state);
+  if per_state > max_bytes_per_te_state then begin
+    Printf.eprintf
+      "bpe bench: %d heap bytes per TE-DFA powerstate, above the %d-byte gate\n"
+      per_state max_bytes_per_te_state;
+    exit 1
+  end
+
 let run ?(throughput = true) () =
   Bench_common.pp_header
     "BPE: merge-table\xe2\x86\x92DFA engine vs the reference merge-loop encoder";
@@ -121,6 +155,8 @@ let run ?(throughput = true) () =
   record "max_tnd" (float_of_int k);
   record "audit_seconds" audit_s;
   record "footprint_bytes" (float_of_int footprint);
+
+  memory_gate d;
 
   (* parity corpus: training-distribution text plus adversarial shapes *)
   let rng = Prng.create 0xb9eb9eL in

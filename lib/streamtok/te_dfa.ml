@@ -17,14 +17,31 @@ module Bits = St_util.Bits
    [width = num_classes + 1] wide; the last column is the EOF
    pseudo-symbol. *)
 
-module Set_key = struct
-  type t = Bits.t
+(* A powerstate is stored sparse: the sorted ids of its members outside
+   the restart set, followed by the pseudo-member [restart_id t] when the
+   restart set is included. The restart set [inject] (every final at j = 0)
+   is in every set a real symbol produces and in none that EOF produces,
+   since steps only produce j >= 1; so the j = 0 members are exactly
+   [inject], present iff the marker is. On the mini BPE vocabulary (32 KB
+   of seeded text) a set averages ~357 members, ~16 outside [inject],
+   and [inject]'s image under a class averages 0.3 members; so the core is
+   what is stored, hashed and stepped; [inject]'s image under each class is
+   computed once at build time and unioned in.
 
-  let equal = Bits.equal
-  let hash = Bits.hash
-end
+   [Set_tbl] hashes every element: [Hashtbl.hash] samples only a bounded
+   prefix, and cores sharing their first members are common. *)
 
-module Set_tbl = Hashtbl.Make (Set_key)
+module Set_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash a =
+    let h = ref (Array.length a) in
+    Array.iter (fun x -> h := (!h * 0x01000193) lxor x) a;
+    !h land max_int
+end)
 
 type t = {
   dfa : Dfa.t;
@@ -38,7 +55,8 @@ type t = {
   mutable trans : int array;  (* capacity × width; -1 = not yet built *)
   mutable emit_rows : int64 array;  (* capacity × words *)
   mutable origin_rows : Bits.t array;  (* per state: extendable finals *)
-  mutable sets : Bits.t array;  (* per state: the NFA powerset *)
+  mutable sets : int array array;  (* per state: sparse powerset, above *)
+  mutable set_words : int;  (* heap words of [sets] and [origin_rows] *)
   mutable accel_known : Bytes.t;  (* capacity; nonzero = stop row computed *)
   mutable accel_stops : int array;  (* capacity × 8: 256-bit stop bitmaps *)
   mutable accel_kinds : Bytes.t;  (* capacity; per-row Dfa.accel_kind byte *)
@@ -50,10 +68,12 @@ type t = {
   m : int;
   active_count : int;
   nfa_size : int;
-  inject : Bits.t;
   final_state : int array;  (* final index -> DFA state *)
   coacc : Bits.t;
-  scratch : Bits.t;
+  images : int array array;  (* per class: image of the restart set *)
+  (* step scratch, touched only under [lock]: *)
+  mark : Bits.t;  (* members already in [buf] *)
+  mutable buf : int array;
   start : int;
   lock : Mutex.t;  (* guards materialization; reads are lock-free *)
 }
@@ -81,7 +101,7 @@ let grow t =
   let origin_rows = Array.make cap (Bits.create 0) in
   Array.blit t.origin_rows 0 origin_rows 0 t.num_states;
   t.origin_rows <- origin_rows;
-  let sets = Array.make cap (Bits.create 0) in
+  let sets = Array.make cap [||] in
   Array.blit t.sets 0 sets 0 t.num_states;
   t.sets <- sets;
   let accel_known = Bytes.make cap '\000' in
@@ -101,6 +121,9 @@ let grow t =
   t.accel_tbl <- accel_tbl;
   t.capacity <- cap
 
+(* The pseudo-member standing for the whole restart set; it sorts last. *)
+let restart_id t = t.nfa_size
+
 (* intern a powerset, computing its origin set and emit-bit row *)
 let intern t set =
   match Set_tbl.find_opt t.tbl set with
@@ -111,11 +134,18 @@ let intern t set =
       t.num_states <- id + 1;
       Set_tbl.add t.tbl set id;
       t.sets.(id) <- set;
+      (* the accepting members Done (f0, K) all lie in the core *)
       let origin = Bits.create (max t.num_finals 1) in
-      for f0 = 0 to t.num_finals - 1 do
-        if Bits.mem set (done_ t f0 t.k) then Bits.add origin f0
-      done;
+      Array.iter
+        (fun nid ->
+          let d = nid - t.active_count in
+          if d >= 0 && nid < t.nfa_size && d mod t.k = t.k - 1 then
+            Bits.add origin (d / t.k))
+        set;
       t.origin_rows.(id) <- origin;
+      t.set_words <-
+        t.set_words + Obj.reachable_words (Obj.repr set)
+        + Obj.reachable_words (Obj.repr origin);
       (* emit bit for (id, q): q final and no completed extension path *)
       for q = 0 to t.m - 1 do
         if t.fidx.(q) >= 0 && not (Bits.mem origin t.fidx.(q)) then
@@ -126,35 +156,60 @@ let intern t set =
       done;
       id
 
-(* one NFA step of the whole powerset on a symbol class ([eof_class t] for
-   EOF); restart injection applied for real symbols only *)
-let step_set t set cls into =
-  Bits.clear into;
-  let dfa = t.dfa in
-  let is_eof = cls = eof_class t in
-  Bits.iter
+(* One NFA step of member [id] on a symbol class ([eof_class t] for EOF),
+   passing each successor to [add]. *)
+let step_member t cls id add =
+  if id < t.active_count then begin
+    if cls <> eof_class t then begin
+      let f0 = id / (t.m * t.k) in
+      let rem = id mod (t.m * t.k) in
+      let q = rem / t.k and j = rem mod t.k in
+      let q = if j = 0 then t.final_state.(f0) else q in
+      let q' = Dfa.step_class t.dfa q cls in
+      let j' = j + 1 in
+      if Dfa.is_final t.dfa q' then add (done_ t f0 j')
+      else if j' < t.k && Bits.mem t.coacc q' then
+        (* dead DFA states can never complete a path: prune *)
+        add (active t f0 q' j')
+    end
+  end
+  else begin
+    let id' = id - t.active_count in
+    let f0 = id' / t.k and j = (id' mod t.k) + 1 in
+    if j < t.k then add (done_ t f0 (j + 1))
+  end
+
+(* One step of the whole powerset: the core member by member, the restart
+   set through its precomputed image, deduplicated through [mark] (cleared
+   again before returning) and sorted; restart injection applied for real
+   symbols only. Uses the shared scratch: call under [t.lock]. *)
+let step_set t set cls =
+  let n = ref 0 in
+  let add id =
+    if not (Bits.mem t.mark id) then begin
+      Bits.add t.mark id;
+      if !n = Array.length t.buf then begin
+        let buf = Array.make (2 * !n) 0 in
+        Array.blit t.buf 0 buf 0 !n;
+        t.buf <- buf
+      end;
+      t.buf.(!n) <- id;
+      incr n
+    end
+  in
+  Array.iter
     (fun id ->
-      if id < t.active_count then begin
-        if not is_eof then begin
-          let f0 = id / (t.m * t.k) in
-          let rem = id mod (t.m * t.k) in
-          let q = rem / t.k and j = rem mod t.k in
-          let q = if j = 0 then t.final_state.(f0) else q in
-          let q' = Dfa.step_class dfa q cls in
-          let j' = j + 1 in
-          if Dfa.is_final dfa q' then Bits.add into (done_ t f0 j')
-          else if j' < t.k && Bits.mem t.coacc q' then
-            (* dead DFA states can never complete a path: prune *)
-            Bits.add into (active t f0 q' j')
-        end
-      end
-      else begin
-        let id' = id - t.active_count in
-        let f0 = id' / t.k and j = (id' mod t.k) + 1 in
-        if j < t.k then Bits.add into (done_ t f0 (j + 1))
-      end)
+      if id = restart_id t then Array.iter add t.images.(cls)
+      else step_member t cls id add)
     set;
-  if not is_eof then Bits.union_into ~dst:into t.inject
+  for i = 0 to !n - 1 do
+    Bits.remove t.mark t.buf.(i)
+  done;
+  let restart = cls <> eof_class t && t.num_finals > 0 in
+  let next = Array.make (if restart then !n + 1 else !n) (restart_id t) in
+  Array.blit t.buf 0 next 0 !n;
+  Array.sort Int.compare next;
+  next
 
 let build dfa ~k =
   assert (k >= 1);
@@ -175,10 +230,6 @@ let build dfa ~k =
   for q = 0 to m - 1 do
     if fidx.(q) >= 0 then final_state.(fidx.(q)) <- q
   done;
-  let inject = Bits.create nfa_size in
-  for q = 0 to m - 1 do
-    if fidx.(q) >= 0 then Bits.add inject ((fidx.(q) * m * k) + (q * k)) (* j = 0 *)
-  done;
   let capacity = 16 in
   let words = (m + 63) / 64 in
   let t =
@@ -194,7 +245,8 @@ let build dfa ~k =
       trans = Array.make (capacity * width) (-1);
       emit_rows = Array.make (capacity * words) 0L;
       origin_rows = Array.make capacity (Bits.create 0);
-      sets = Array.make capacity (Bits.create 0);
+      sets = Array.make capacity [||];
+      set_words = 0;
       accel_known = Bytes.make capacity '\000';
       accel_stops = Array.make (capacity * 8) 0;
       accel_kinds = Bytes.make capacity '\000';
@@ -205,15 +257,27 @@ let build dfa ~k =
       m;
       active_count;
       nfa_size;
-      inject;
       final_state;
       coacc = Dfa.co_accessible dfa;
-      scratch = Bits.create nfa_size;
+      images = [||];
+      mark = Bits.create nfa_size;
+      buf = Array.make 64 0;
       start = 0;
       lock = Mutex.create ();
     }
   in
-  let start = intern t (Bits.copy inject) in
+  (* the restart set: every final at j = 0 *)
+  let inject = Array.init f (fun f0 -> active t f0 final_state.(f0) 0) in
+  let images =
+    Array.init width (fun cls ->
+        let image = ref [] in
+        Array.iter
+          (fun id -> step_member t cls id (fun id' -> image := id' :: !image))
+          inject;
+        Array.of_list !image)
+  in
+  let t = { t with images } in
+  let start = intern t (if f > 0 then [| restart_id t |] else [||]) in
   assert (start = 0);
   t
 
@@ -226,8 +290,7 @@ let materialize t s cls =
     match t.trans.((s * t.width) + cls) with
     | tgt when tgt >= 0 -> tgt
     | _ ->
-        step_set t t.sets.(s) cls t.scratch;
-        let id = intern t (Bits.copy t.scratch) in
+        let id = intern t (step_set t t.sets.(s) cls) in
         (* t.trans may have been reallocated by intern/grow: write after *)
         t.trans.((s * t.width) + cls) <- id;
         id
@@ -307,6 +370,8 @@ let accel_tbl t = t.accel_tbl
 
 let accel_bytes t =
   (t.accel_rows * (32 + 24 + 256)) + (2 * t.num_states)
+
+let set_bytes t = t.set_words * (Sys.word_size / 8)
 
 let start _t = 0
 let k t = t.k

@@ -1,7 +1,8 @@
 (** Fixed-width bitsets over [0, n), backed by an [int array].
 
     Used for DFA state sets (co-accessibility, analysis frontiers,
-    token-extension powerstates) where dense membership tests dominate. *)
+    token-extension origin rows and step marks) where dense membership
+    tests dominate. *)
 
 type t
 

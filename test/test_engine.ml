@@ -61,8 +61,14 @@ let test_footprint () =
   | Ok e3 ->
       check "te footprint positive" true (Engine.footprint_bytes e3 > 0);
       check_int "no k1 table in TE mode" 0 (Engine.k1_table_bytes e3);
+      let te =
+        match (Engine.cursor e3 ~emit:(fun _ _ _ _ -> ())).St_streamtok.Cursor.mode with
+        | St_streamtok.Cursor.Te te -> te
+        | St_streamtok.Cursor.Table_k1 _ -> Alcotest.fail "expected TE mode"
+      in
       let states0 = Engine.te_states e3 in
       let fp0 = Engine.footprint_bytes e3 in
+      let sets0 = Te_dfa.set_bytes te in
       (* a run materializes more TE powerstates; footprint must follow *)
       ignore
         (Engine.run_string e3 "1e+5 27 3e9 12 " ~emit:(fun ~pos:_ ~len:_ ~rule:_ -> ()));
@@ -70,9 +76,14 @@ let test_footprint () =
       let fp1 = Engine.footprint_bytes e3 in
       check "run materialized powerstates" true (states1 > states0);
       check "footprint monotone in te_states" true (fp1 > fp0);
-      check_int "growth proportional to states"
-        ((fp1 - fp0) / (states1 - states0) * (states1 - states0))
-        (fp1 - fp0)
+      (* each new powerstate adds fixed-width rows plus its own powerset,
+         whose size depends on its members *)
+      let set_growth = Te_dfa.set_bytes te - sets0 in
+      check "new powersets accounted" true (set_growth > 0);
+      let rows = fp1 - fp0 - set_growth in
+      check_int "row growth proportional to states"
+        (rows / (states1 - states0) * (states1 - states0))
+        rows
 
 let test_compile_unbounded () =
   match Engine.compile_grammar "a\nb\n(a|b)*c" with

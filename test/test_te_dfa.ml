@@ -145,6 +145,106 @@ let test_classed_step_parity_seeded () =
     incr cases
   done
 
+(* ---- pinned automata ----
+
+   The powerstate representation is an implementation choice: the lazily
+   materialized automaton must not depend on it. These values were
+   recorded with the dense-bitset representation (one bit per NFA state
+   per powerstate) on the same seeded inputs: the number of powerstates a
+   cold run materializes, a digest of their transition and emit-bit rows
+   (state numbering included), and a digest of the token stream. *)
+
+let mini_engine () =
+  let v =
+    match Bpe.Vocab.load_file "vocab/mini.tiktoken" with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "mini vocab: %s" e
+  in
+  match Bpe.Compiler.dfa ~audit:false v with
+  | Error e -> Alcotest.failf "dfa: %s" e
+  | Ok d -> (
+      match Engine.compile d with
+      | Ok e -> e
+      | Error Engine.Unbounded_tnd -> Alcotest.fail "unbounded")
+
+let te_of e =
+  match (Engine.cursor e ~emit:(fun _ _ _ _ -> ())).St_streamtok.Cursor.mode with
+  | St_streamtok.Cursor.Te te -> te
+  | St_streamtok.Cursor.Table_k1 _ -> Alcotest.fail "expected the TE DFA path"
+
+let token_list e input =
+  let toks = ref [] in
+  (match
+     Engine.run_string e input ~emit:(fun ~pos ~len ~rule ->
+         toks := (pos, len, rule) :: !toks)
+   with
+  | Engine.Finished -> ()
+  | Engine.Failed { offset; _ } -> Alcotest.failf "failed at %d" offset);
+  List.rev !toks
+
+let token_digest toks =
+  let b = Buffer.create 4096 in
+  List.iter (fun (pos, len, rule) -> Printf.bprintf b "%d,%d,%d;" pos len rule) toks;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let row_digest te =
+  let n = Te_dfa.num_states te in
+  let b = Buffer.create 4096 in
+  let trans = Te_dfa.Raw.trans te in
+  for i = 0 to (n * Te_dfa.Raw.width te) - 1 do
+    Printf.bprintf b "%d," trans.(i)
+  done;
+  Buffer.add_char b '|';
+  let emit_rows = Te_dfa.Raw.emit_rows te in
+  for i = 0 to (n * Te_dfa.Raw.words te) - 1 do
+    Printf.bprintf b "%Ld," emit_rows.(i)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_pinned name e input ~k ~states ~rows ~tokens =
+  let tokens' = token_digest (token_list e input) in
+  let te = te_of e in
+  check_int (name ^ ": K") k (Te_dfa.k te);
+  check_int (name ^ ": powerstates") states (Te_dfa.num_states te);
+  Alcotest.(check string) (name ^ ": row digest") rows (row_digest te);
+  Alcotest.(check string) (name ^ ": token digest") tokens tokens'
+
+let test_pinned_json () =
+  match Engine.compile (Grammar.dfa Formats.json) with
+  | Error _ -> Alcotest.fail "json unbounded"
+  | Ok e ->
+      check_pinned "json" e
+        (Gen_data.json ~seed:7L ~target_bytes:65536 ())
+        ~k:3 ~states:52 ~rows:"6978120c3853cd899e722a87924a49da"
+        ~tokens:"4ca3e2bed2dea7b50466b7e359a37fbe"
+
+let test_pinned_mini () =
+  check_pinned "mini" (mini_engine ())
+    (Bpe.Trainer.gen_corpus (Prng.create 101L) 32768)
+    ~k:5 ~states:7853 ~rows:"6d15d01b70b30e3afcf489fd4c7482e4"
+    ~tokens:"ae3010aece545685f828938c4dbb91de"
+
+(* One engine shared by two domains that materialize powerstates at the
+   same time (as shard workers do through the engine cache): each domain's
+   tokens must equal a sequential run on a private engine. *)
+let test_shared_engine_two_domains () =
+  let docs =
+    List.map
+      (fun seed -> Bpe.Trainer.gen_corpus (Prng.create seed) 8192)
+      [ 0x5eed1L; 0x5eed2L ]
+  in
+  let expected = List.map (token_list (mini_engine ())) docs in
+  let shared = mini_engine () in
+  let got =
+    List.map (fun doc -> Domain.spawn (fun () -> token_list shared doc)) docs
+    |> List.map Domain.join
+  in
+  List.iteri
+    (fun i (want, got) ->
+      check (Printf.sprintf "domain %d tokens = sequential run" i) true
+        (want = got))
+    (List.combine expected got)
+
 let suite =
   [
     Alcotest.test_case "structure" `Quick test_structure;
@@ -157,4 +257,8 @@ let suite =
     Alcotest.test_case "restart powerset" `Quick test_restart_tracks_all_positions;
     Alcotest.test_case "non-final robustness" `Quick
       test_non_final_state_never_extendable;
+    Alcotest.test_case "pinned automaton: json" `Quick test_pinned_json;
+    Alcotest.test_case "pinned automaton: mini BPE" `Quick test_pinned_mini;
+    Alcotest.test_case "shared engine, two domains" `Quick
+      test_shared_engine_two_domains;
   ]
