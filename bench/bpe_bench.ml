@@ -71,11 +71,19 @@ let record name v =
 
 (* Memory gate: the heap a fresh engine holds per materialized TE-DFA
    powerstate after a cold pass over a seeded 32 KB corpus. A powerstate
-   costs its transition row (8 bytes per column), its emit-bit row, its
-   accel slots and its sparse powerset; a dense bitset over the whole
-   token-extension NFA (F·M·K + F·K bits, ~87 KB on this vocabulary) would
-   fail it. *)
-let max_bytes_per_te_state = 16384
+   costs its int32 transition row (4 bytes per column), its emit-bit row,
+   its key of K + 1 layer ids and its table slots; accel tables exist only
+   for rows a skip loop entered. 8-byte rows, or side tables per capacity
+   slot, would fail it; a dense bitset over the whole token-extension NFA
+   (F·M·K + F·K bits, ~87 KB on this vocabulary) fails it by far.
+
+   Layer gate: powerstates are keys over interned per-offset layers, which
+   this vocabulary shares heavily (184 layers under 256k powerstates over
+   2 MB). The cold pass's layer count is exact and repeats; more than one
+   layer per [min_states_per_layer] powerstates means layers stopped being
+   shared, or stepping went back to whole powersets. *)
+let max_bytes_per_te_state = 2048
+let min_states_per_layer = 16
 
 let memory_gate d =
   Gc.full_major ();
@@ -89,17 +97,30 @@ let memory_gate d =
   Gc.full_major ();
   let held = ((Gc.stat ()).Gc.live_words - live0) * (Sys.word_size / 8) in
   let states = Engine.te_states e in
+  let layers =
+    let c = Engine.cursor e ~emit:(fun _ _ _ _ -> ()) in
+    match c.St_streamtok.Cursor.mode with
+    | St_streamtok.Cursor.Te te -> Te_dfa.num_layers te
+    | St_streamtok.Cursor.Table_k1 _ -> assert false
+  in
   let per_state = held / max states 1 in
   Printf.printf
-    "  memory: cold 32 KB pass -> %d powerstates, %d heap bytes held (%d B per \
-     powerstate, gate %d)\n"
-    states held per_state max_bytes_per_te_state;
+    "  memory: cold 32 KB pass -> %d powerstates over %d layers, %d heap \
+     bytes held (%d B per powerstate, gate %d)\n"
+    states layers held per_state max_bytes_per_te_state;
   record "te_states_cold_32k" (float_of_int states);
+  record "te_layers_cold_32k" (float_of_int layers);
   record "heap_bytes_per_te_state" (float_of_int per_state);
   if per_state > max_bytes_per_te_state then begin
     Printf.eprintf
       "bpe bench: %d heap bytes per TE-DFA powerstate, above the %d-byte gate\n"
       per_state max_bytes_per_te_state;
+    exit 1
+  end;
+  if layers * min_states_per_layer > states then begin
+    Printf.eprintf
+      "bpe bench: %d layers under %d TE-DFA powerstates, more than 1 per %d\n"
+      layers states min_states_per_layer;
     exit 1
   end
 

@@ -146,7 +146,9 @@ let fig6 (c : Cursor.t) te s p fin ~eof =
     let prev_st = !st and prev_q = !q in
     let b = !pos + k in
     let bcls = if b < fin then cls_at cmap s b else eofc in
-    let tgt = Array.unsafe_get !te_trans ((!st * tw) + bcls) in
+    let tgt =
+      Int32.to_int (Te_dfa.Raw.get32u !te_trans (((!st * tw) + bcls) lsl 2))
+    in
     if tgt >= 0 then st := tgt
     else begin
       st := Te_dfa.step_class te !st bcls;
@@ -160,7 +162,7 @@ let fig6 (c : Cursor.t) te s p fin ~eof =
     if
       Int64.logand
         (Int64.shift_right_logical
-           (Array.unsafe_get !emit_rows ((!st * words) + (!q lsr 6)))
+           (Te_dfa.Raw.get64u !emit_rows (((!st * words) + (!q lsr 6)) lsl 3))
            (!q land 63))
         1L
       <> 0L
@@ -181,17 +183,18 @@ let fig6 (c : Cursor.t) te s p fin ~eof =
            (Char.code (String.unsafe_get s (!pos + 1)))
          = 0
     then begin
+      let r = Te_dfa.accel_row te !st in
       let bkinds = Te_dfa.accel_kinds te in
       let j =
-        Dfa.skip_run2 astops akind aswar atbl !q (Te_dfa.accel_stops te !st)
-          bkinds (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) !st ~off:k s
+        Dfa.skip_run2 astops akind aswar atbl !q (Te_dfa.accel_stops te)
+          bkinds (Te_dfa.accel_masks te) (Te_dfa.accel_tbl te) r ~off:k s
           (!pos + 1) skip_lim
       in
       let n = j - (!pos + 1) in
       sk := !sk + n;
       if
         Bytes.unsafe_get akind !q <> '\000'
-        || Bytes.unsafe_get bkinds !st <> '\000'
+        || Bytes.unsafe_get bkinds r <> '\000'
       then swk := !swk + n;
 #ifdef HEAT
       Array.unsafe_set skips !q (Array.unsafe_get skips !q + n);

@@ -18,16 +18,21 @@
     implementation note. In-progress paths through non-co-accessible DFA
     states are pruned.
 
-    A powerstate is stored sparse: a sorted array of its members outside
-    the restart set, plus one marker standing for the whole restart set
-    (every final [q₀] at [j = 0]). This is exact because the [j = 0]
-    members of a powerstate are exactly the restart set, present iff the
-    last symbol was not EOF: a step only produces [j ≥ 1], and injection
-    follows every real symbol and no EOF. The restart set's image under
-    each symbol class is computed once at {!build} and shared by every
-    step. On the mini BPE vocabulary ([F·M·K + F·K] = 685,410 NFA states)
-    a powerstate averages ~357 members but only ~16 outside the restart
-    set.
+    A powerstate is stored as K + 1 ints: the interned ids of its K
+    {e layers}, then a restart flag. Layer [j] is the sorted array of the
+    members at offset [j] ([j = 1..K]); the [j = 0] members are exactly the
+    restart set (every final [q₀] at [j = 0]), present iff the last symbol
+    was not EOF, so one flag stands for them. Offsets partition the
+    members, so keys are equal iff powersets are. A step maps layer [j] to
+    layer [j + 1] alone and the restart set's image to layer 1, so each
+    layer memoizes its one-class step and a powerstate step is K lookups.
+    On the mini BPE vocabulary 256k powerstates over 2 MB of seeded text
+    share 184 layers.
+
+    The accepting members all lie in layer K, so the origin set
+    ({!extendable}) and the emit-bit row ({!emit_bit}) are computed once
+    per layer; {!extendable} reads layer K's origin set through the key,
+    and a new powerstate copies layer K's emit-bit row.
 
     The DFA itself is {e lazy}: powerstates and their transitions
     materialize the first time {!step} takes them (eager construction is
@@ -43,9 +48,12 @@
     Transition rows are indexed by the underlying DFA's byte equivalence
     classes ([Dfa.num_classes + 1] columns, EOF last): bytes the DFA cannot
     distinguish take identical extension paths, so class compression is
-    exact here too. The byte-level {!step}/{!eof_symbol} interface is kept
-    (it translates through the classmap); hot loops that already hold a
-    class use {!step_class} with {!eof_class}. *)
+    exact here too. The rows are native-endian int32s in one [Bytes.t]
+    ([-1] = not yet built), and the emit-bit rows int64s in another: half
+    the size of an [int array] row, copied by [memcpy] on growth, and never
+    scanned by the GC. The byte-level {!step}/{!eof_symbol}
+    interface is kept (it translates through the classmap); hot loops that
+    already hold a class use {!step_class} with {!eof_class}. *)
 
 open St_automata
 
@@ -94,37 +102,42 @@ val extendable : t -> int -> int -> bool
     read; the engine's per-symbol check. *)
 val emit_bit : t -> int -> int -> bool
 
-(** [accel_stops te s] — the 256-bit stop-byte bitmap of powerstate [s]
-    (bit [b] set iff byte [b] moves [s] somewhere else), lazily computed on
-    first use and cached. Returns the whole packed array (8 words per
-    powerstate, row [s*8]), in the {!Dfa.skip_run2} layout; like {!Raw}
-    views, the array is replaced wholesale on growth, so re-fetch per use.
-    Computing a row also classifies it for the SWAR tier (see
-    {!accel_kinds}). *)
-val accel_stops : t -> int -> int array
+(** [accel_row te s] — the acceleration row of powerstate [s], computed
+    and cached on first use: its 256-bit stop-byte bitmap (bit [b] set iff
+    byte [b] moves [s] somewhere else), SWAR kind byte and masks, and
+    gather table. Rows are allocated only for powerstates a skip loop
+    enters, and are indexed by this row number, not by [s], in the
+    {!Dfa.skip_run2} layout. *)
+val accel_row : t -> int -> int
 
-(** Per-powerstate {!Dfa.type:t.accel_kind} bytes, valid for rows already
-    ensured via {!accel_stops} (all zero when the underlying DFA was built
-    [~swar:false]). Replaced wholesale on growth — re-fetch per use. *)
+(** The packed stop bitmaps, 8 words per accel row (row [r*8]). Like the
+    {!Raw} views, the accel arrays are replaced wholesale on growth, so
+    re-fetch them after each {!accel_row}. *)
+val accel_stops : t -> int array
+
+(** Per-accel-row {!Dfa.type:t.accel_kind} bytes (all zero when the
+    underlying DFA was built [~swar:false]). *)
 val accel_kinds : t -> Bytes.t
 
-(** Per-powerstate SWAR broadcast masks (3 per row, [s*3]), paired with
-    {!accel_kinds}; same validity and growth caveats. *)
+(** Per-accel-row SWAR broadcast masks (3 per row, [r*3]). *)
 val accel_masks : t -> int64 array
 
-(** Per-powerstate 256-byte 0/1 gather stop tables (row [s*256]), in the
+(** Per-accel-row 256-byte 0/1 gather stop tables (row [r*256]), in the
     {!Dfa.type:t.accel_tbl} layout, for {!Dfa.skip_run2}'s mixed-pair
-    loop; same validity and growth caveats as {!accel_kinds}. *)
+    loop. *)
 val accel_tbl : t -> Bytes.t
 
-(** Bytes held by the lazily materialized stop bitmaps, kind bytes, SWAR
-    masks and gather tables (monotone in use, for footprint
-    accounting). *)
-val accel_bytes : t -> int
+(** Layers interned so far (the empty layer included). *)
+val num_layers : t -> int
 
-(** Heap bytes held by the materialized powersets and their origin rows
-    (monotone in use, for footprint accounting). *)
+(** Heap bytes held by the powerstate keys and the layers with their
+    step memos, origin sets and emit-bit rows (monotone in use). *)
 val set_bytes : t -> int
+
+(** Bytes held by the materialized automaton (monotone in use): per
+    powerstate its transition and emit-bit rows, two key-table slots and
+    its accel-row index; the computed accel rows; and {!set_bytes}. *)
+val footprint_bytes : t -> int
 
 (**/**)
 
@@ -133,8 +146,20 @@ val set_bytes : t -> int
     any {!step} that materialized a state (a cached copy stays valid for
     reads of already-materialized states). *)
 module Raw : sig
-  val trans : t -> int array
-  val emit_rows : t -> int64 array
+  (** capacity × {!width} int32 entries; entry [i] is at byte [4 * i]
+      (read it with {!get32u}), [-1] = not yet built. *)
+  val trans : t -> Bytes.t
+
+  (** Unchecked native-endian int32 load at a byte offset. *)
+  external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+  (** capacity × {!words} native-endian int64s; word [i] is at byte
+      [8 * i] (read it with {!get64u}). *)
+  val emit_rows : t -> Bytes.t
+
+  (** Unchecked native-endian int64 load at a byte offset. *)
+  external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
   val words : t -> int
   val width : t -> int
 end

@@ -192,12 +192,12 @@ let row_digest te =
   let b = Buffer.create 4096 in
   let trans = Te_dfa.Raw.trans te in
   for i = 0 to (n * Te_dfa.Raw.width te) - 1 do
-    Printf.bprintf b "%d," trans.(i)
+    Printf.bprintf b "%d," (Int32.to_int (Bytes.get_int32_ne trans (4 * i)))
   done;
   Buffer.add_char b '|';
   let emit_rows = Te_dfa.Raw.emit_rows te in
   for i = 0 to (n * Te_dfa.Raw.words te) - 1 do
-    Printf.bprintf b "%Ld," emit_rows.(i)
+    Printf.bprintf b "%Ld," (Bytes.get_int64_ne emit_rows (8 * i))
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -223,6 +223,41 @@ let test_pinned_mini () =
     (Bpe.Trainer.gen_corpus (Prng.create 101L) 32768)
     ~k:5 ~states:7853 ~rows:"6d15d01b70b30e3afcf489fd4c7482e4"
     ~tokens:"ae3010aece545685f828938c4dbb91de"
+
+(* The Fig. 8 grammar r_k = (a{0,k}b)|a, k = 8, on a seeded a/b string
+   (b with probability 1/2): unlike mini BPE, whose powerstates are almost
+   all done-pairs, this automaton keeps in-progress paths at every offset.
+   Recorded with the sparse-core representation that stepped every member. *)
+let test_pinned_rk () =
+  let rng = Prng.create 0xF18L in
+  let input =
+    String.init 65536 (fun _ -> if Prng.int rng 2 = 0 then 'b' else 'a')
+  in
+  match Engine.compile (Grammar.dfa (Worst_case.grammar 8)) with
+  | Error _ -> Alcotest.fail "r_8 unbounded"
+  | Ok e ->
+      check_pinned "r_8" e input ~k:8 ~states:25
+        ~rows:"e459125a92b88fabc6f48879de5de1e0"
+        ~tokens:"233fa41d09e07f711077dbea49bb2987"
+
+(* Accel rows exist only for powerstates a skip loop entered: the mini BPE
+   automaton never enters one, the json automaton enters a few of its
+   powerstates. *)
+let test_accel_rows_on_demand () =
+  let mini = mini_engine () in
+  ignore (token_list mini (Bpe.Trainer.gen_corpus (Prng.create 101L) 8192));
+  let te = te_of mini in
+  check "mini: states materialized" true (Te_dfa.num_states te > 1000);
+  check_int "mini: no accel rows" 0 (Array.length (Te_dfa.accel_stops te));
+  match Engine.compile (Grammar.dfa Formats.json) with
+  | Error _ -> Alcotest.fail "json unbounded"
+  | Ok e ->
+      ignore (token_list e (Gen_data.json ~seed:7L ~target_bytes:65536 ()));
+      let te = te_of e in
+      let slots = Array.length (Te_dfa.accel_stops te) / 8 in
+      check "json: some accel rows" true (slots > 0);
+      check "json: fewer accel slots than powerstates" true
+        (slots < Te_dfa.num_states te)
 
 (* One engine shared by two domains that materialize powerstates at the
    same time (as shard workers do through the engine cache): each domain's
@@ -259,6 +294,9 @@ let suite =
       test_non_final_state_never_extendable;
     Alcotest.test_case "pinned automaton: json" `Quick test_pinned_json;
     Alcotest.test_case "pinned automaton: mini BPE" `Quick test_pinned_mini;
+    Alcotest.test_case "pinned automaton: r_8" `Quick test_pinned_rk;
+    Alcotest.test_case "accel rows on demand" `Quick
+      test_accel_rows_on_demand;
     Alcotest.test_case "shared engine, two domains" `Quick
       test_shared_engine_two_domains;
   ]
