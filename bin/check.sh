@@ -213,6 +213,15 @@ if ! grep -q '"name":"sessions","type":"gauge","value":1[,}]' \
   rm -rf "$tmpd"
   exit 1
 fi
+# the ordered metric names, compared with the --domains 2 leg's below
+names_d1=$(grep -o '"name":"[^"]*"' "$tmpd/stats.json" || true)
+if [ -z "$names_d1" ]; then
+  echo "serve smoke FAILED: STATS lists no metrics"
+  cat "$tmpd/stats.json"
+  kill -TERM "$srv" 2> /dev/null || true
+  rm -rf "$tmpd"
+  exit 1
+fi
 
 # BPE token-id session: OPEN_BPE + IDS frames through the daemon must
 # equal the local engine's `tokenize --ids` on the same input. (After the
@@ -330,6 +339,18 @@ if grep -q '"name":"writevs","type":"counter","value":0[,}]' \
   "$tmpd/stats.json"; then
   echo "shard check FAILED: vectored write path never used"
   cat "$tmpd/stats.json"
+  rm -rf "$tmpd"
+  exit 1
+fi
+# pool-wide STATS must have the single-domain shape: same names, same
+# order
+names_d2=$(grep -o '"name":"[^"]*"' "$tmpd/stats.json" || true)
+if [ "$names_d1" != "$names_d2" ]; then
+  echo "shard check FAILED: --domains 2 STATS metric names differ from --domains 1"
+  echo "$names_d1" > "$tmpd/names.d1"
+  echo "$names_d2" > "$tmpd/names.d2"
+  diff "$tmpd/names.d1" "$tmpd/names.d2" || true
+  kill -TERM "$srv" 2> /dev/null || true
   rm -rf "$tmpd"
   exit 1
 fi

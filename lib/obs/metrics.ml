@@ -171,4 +171,39 @@ module Registry = struct
     s
 
   let metrics r = List.rev r.rev_metrics
+
+  let copy_kind = function
+    | Counter c -> Counter { Counter.v = c.v }
+    | Gauge g -> Gauge { Gauge.v = g.v }
+    | Histogram h -> Histogram (Histogram.copy h)
+    | Span s -> Span { Span.seconds = s.seconds; count = s.count }
+
+  let copy r =
+    {
+      rev_metrics =
+        List.map (fun m -> { m with kind = copy_kind m.kind }) r.rev_metrics;
+    }
+
+  let differ () = invalid_arg "Metrics.Registry.merge: registries differ"
+
+  let merge_metric a b =
+    if a.name <> b.name || a.labels <> b.labels then differ ();
+    let kind =
+      match (a.kind, b.kind) with
+      | Counter x, Counter y -> Counter { Counter.v = x.v + y.v }
+      | Gauge x, Gauge y -> Gauge { Gauge.v = x.v +. y.v }
+      | Histogram x, Histogram y ->
+          let h = Histogram.copy x in
+          Histogram.merge h y;
+          Histogram h
+      | Span x, Span y ->
+          Span
+            { Span.seconds = x.seconds +. y.seconds; count = x.count + y.count }
+      | _ -> differ ()
+    in
+    { a with kind }
+
+  let merge a b =
+    if List.compare_lengths a.rev_metrics b.rev_metrics <> 0 then differ ();
+    { rev_metrics = List.map2 merge_metric a.rev_metrics b.rev_metrics }
 end

@@ -135,4 +135,16 @@ module Registry : sig
 
   (** Registration order. *)
   val metrics : t -> metric list
+
+  (** Deep snapshot: later updates through the original's handles do not
+      show in the copy, nor the reverse. *)
+  val copy : t -> t
+
+  (** [merge a b] is a fresh registry with [a]'s metrics, in order, each
+      combined with [b]'s metric at the same position: counters, gauges
+      and spans add, histograms merge exactly ({!Histogram.merge}).
+      Neither input is modified. Raises [Invalid_argument] unless both
+      registries hold the same names, labels and kinds in the same
+      order. *)
+  val merge : t -> t -> t
 end

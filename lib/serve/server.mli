@@ -19,7 +19,13 @@
 
     A {!t} is single-domain: one transport drives it, and in the sharded
     server each worker domain owns its own instance (only the engine
-    cache and the {!totals} snapshots cross domains).
+    cache and the {!snapshot}s cross domains).
+
+    The server's counters live in one {!St_obs.Metrics.Registry.t}: the
+    registry is the store, updated in place through the metric handles,
+    not a copy assembled at export. {!snapshot} deep-copies it;
+    {!add_shared_metrics} appends the engine-cache counters and uptime,
+    which are not per worker.
 
     Time enters only through [config.clock], so a fake clock makes idle
     eviction and latency recording fully deterministic under loopback. *)
@@ -60,7 +66,8 @@ val config : t -> config
 (** A connection arrived. Always returns an id — over-capacity or
     mid-drain connections are answered with a retryable error frame and
     marked for drain-close, which the transport observes via
-    {!should_close}. *)
+    {!should_close}. They count as [sessions_rejected], never as opened
+    or closed sessions. *)
 val on_connect : t -> conn_id
 
 (** Bytes read from the connection's socket. The slice is copied into the
@@ -142,34 +149,26 @@ val sessions : t -> int
 
 val cache : t -> St_streamtok.Engine_cache.t
 
-(** Receive-buffer bytes moved by decoder compaction across all
-    connections (live and closed): the price of frames straddling a read.
-    Zero on a straddle-free run — also exported as the [decoder_copies]
-    counter in {!stats_registry}. *)
+(** Receive-buffer compaction copies across all connections (live and
+    closed): the price of frames straddling a read. Zero on a
+    straddle-free run — also exported as the [decoder_copies] counter. *)
 val decoder_copies : t -> int
 
-(** A point-in-time snapshot of every exported quantity, as plain data —
-    what a worker domain publishes (under the pool's mutex) so the
-    sharded server can aggregate stats across domains without touching
-    another domain's live [t]. The histogram inside is a deep copy. *)
-type totals
+(** A deep copy of this instance's per-worker metrics, with the
+    [sessions] gauge set to {!sessions} first: what a {!Shard} worker
+    publishes so the pool can {!St_obs.Metrics.Registry.merge} snapshots
+    across domains without touching another domain's live [t]. It holds
+    every STATS metric from [sessions] through the per-FEED-batch
+    latency histogram [feed_latency_ns], in STATS order. A merged
+    [sessions_peak] sums per-worker peaks: an upper bound on the
+    pool-wide concurrent peak, which no worker can observe alone. *)
+val snapshot : t -> Metrics.Registry.t
 
-val totals : t -> totals
-
-(** [sum_totals snapshots] folds worker snapshots into one pool-wide
-    view: counters sum, latency histograms merge exactly (shared log2
-    buckets), uptime takes the max. The workers share one engine cache,
-    so its counters, the same in every snapshot, are taken once (max —
-    the freshest snapshot) instead of summed. [sessions_peak] sums
-    per-worker peaks: an upper bound on the true pool-wide concurrent
-    peak, which no single worker can observe. Raises [Invalid_argument]
-    on an empty list. *)
-val sum_totals : totals list -> totals
-
-(** Render a snapshot with exactly the same metric names and shapes as
-    {!stats_registry}, so aggregated (sharded) STATS replies are
-    indistinguishable from single-domain ones. *)
-val registry_of_totals : totals -> Metrics.Registry.t
+(** [add_shared_metrics r cache ~uptime] appends the metrics that are
+    not per worker: [cache]'s compile/hit/eviction counters and entry
+    gauge, and [uptime_seconds]. Append them once, after any merge. *)
+val add_shared_metrics :
+  Metrics.Registry.t -> St_streamtok.Engine_cache.t -> uptime:float -> unit
 
 (** Count one [accept] refused for lack of file descriptors (EMFILE /
     ENFILE) — the [accept_fd_exhausted] counter. *)
@@ -186,11 +185,7 @@ val refuse_fd_ceiling : t -> string
     {!Shard} worker uses to reply with pool-wide aggregated stats. *)
 val set_stats_hook : t -> (unit -> Metrics.Registry.t) -> unit
 
-(** Fresh snapshot of the server metrics (sessions gauge + peak,
-    open/close/reject/evict counters, bytes and token counters, the
-    per-FEED-batch latency log2 histogram in nanoseconds, [feed_batches]
-    / [decoder_copies] / [writevs] / [batch_bytes_direct] /
-    [batch_bytes_copied] data-plane counters, the [accept_fd_exhausted]
-    and [accept_fd_ceiling] counters, engine-cache compile/hit counters, uptime). Equal to
-    [registry_of_totals (totals t)]. *)
+(** This instance's STATS document: {!snapshot} plus
+    {!add_shared_metrics} for its cache and the time since {!create}. A
+    sharded pool's STATS have exactly the same metric names and order. *)
 val stats_registry : t -> Metrics.Registry.t

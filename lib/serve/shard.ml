@@ -1,3 +1,4 @@
+open St_obs
 open St_streamtok
 
 type worker = {
@@ -6,7 +7,8 @@ type worker = {
   mu : Mutex.t;  (* guards [queue] *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  mutable published : Server.totals option;  (* guarded by pool.pub_mu *)
+  mutable published : Metrics.Registry.t option;
+      (* a Server.snapshot, never mutated; guarded by pool.pub_mu *)
   mutable domain : unit Domain.t option;
 }
 
@@ -16,6 +18,7 @@ type t = {
   workers : worker array;
   stop_flag : bool Atomic.t;
   pub_mu : Mutex.t;
+  started : float;
   mutable rr : int;  (* round-robin handoff cursor *)
 }
 
@@ -44,21 +47,27 @@ let next_worker pool =
   pool.rr <- pool.rr + 1;
   w
 
-let pool_registry snaps = Server.registry_of_totals (Server.sum_totals snaps)
+(* Merge worker snapshots, then append the shared-cache metrics and
+   uptime once. Published snapshots stay as they are: append to a copy. *)
+let pool_registry pool first rest =
+  let r =
+    List.fold_left Metrics.Registry.merge (Metrics.Registry.copy first) rest
+  in
+  Server.add_shared_metrics r pool.cache
+    ~uptime:(pool.cfg.Server.clock () -. pool.started);
+  r
 
 (* Pool-wide aggregated stats: the calling worker's live snapshot plus
    every other worker's last published one (at most ~50 ms + one select
    round stale). *)
 let aggregate pool ~self_idx own =
   Mutex.lock pool.pub_mu;
-  let snaps =
-    Array.to_list
-      (Array.map
-         (fun w -> if w.idx = self_idx then Some own else w.published)
-         pool.workers)
+  let others =
+    Array.to_list pool.workers
+    |> List.filter_map (fun w -> if w.idx = self_idx then None else w.published)
   in
   Mutex.unlock pool.pub_mu;
-  pool_registry (List.filter_map Fun.id snaps)
+  pool_registry pool own others
 
 let stats pool =
   Mutex.lock pool.pub_mu;
@@ -66,7 +75,9 @@ let stats pool =
     Array.to_list pool.workers |> List.filter_map (fun w -> w.published)
   in
   Mutex.unlock pool.pub_mu;
-  match snaps with [] -> None | snaps -> Some (pool_registry snaps)
+  match snaps with
+  | [] -> None
+  | first :: rest -> Some (pool_registry pool first rest)
 
 let stop pool =
   Atomic.set pool.stop_flag true;
@@ -82,7 +93,7 @@ let max_timeout = 0.25
 let worker_loop pool w ~listener =
   let srv = Server.create ~cache:pool.cache ~config:pool.cfg () in
   Server.set_stats_hook srv (fun () ->
-      aggregate pool ~self_idx:w.idx (Server.totals srv));
+      aggregate pool ~self_idx:w.idx (Server.snapshot srv));
   let core = Io_loop.Core.create srv in
   let cfg = Server.config srv in
   let wbuf = Bytes.create 64 in
@@ -91,9 +102,9 @@ let worker_loop pool w ~listener =
     let now = cfg.Server.clock () in
     if force || now -. !last_pub >= 0.05 then begin
       last_pub := now;
-      let tot = Server.totals srv in
+      let snap = Server.snapshot srv in
       Mutex.lock pool.pub_mu;
-      w.published <- Some tot;
+      w.published <- Some snap;
       Mutex.unlock pool.pub_mu
     end
   in
@@ -206,6 +217,7 @@ let make_pool ?(config = Server.default_config) ~domains () =
     workers;
     stop_flag = Atomic.make false;
     pub_mu = Mutex.create ();
+    started = config.Server.clock ();
     rr = 0;
   }
 

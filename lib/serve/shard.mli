@@ -13,10 +13,12 @@
 
     Only two things cross domains: the engine cache (one mutex-guarded
     {!St_streamtok.Engine_cache}, so N workers OPENing one grammar cost
-    one compile) and the stats snapshots ({!Server.totals}, published by
-    each worker under the pool mutex every ≤50 ms, aggregated by
-    {!Server.sum_totals} — a STATS request to any worker answers for
-    the whole pool).
+    one compile) and the stats snapshots: each worker publishes a
+    {!Server.snapshot} registry under the pool mutex every ≤50 ms, and a
+    STATS request to any worker answers for the whole pool by folding
+    them with {!St_obs.Metrics.Registry.merge}, then appending the
+    shared-cache metrics and the pool's uptime once
+    ({!Server.add_shared_metrics}).
 
     Shutdown: {!stop} raises the pool-wide flag and pokes every wakeup
     pipe; worker 0 closes and unlinks the listener; every worker adopts
@@ -45,10 +47,10 @@ val stop : t -> unit
     wakeup pipes. *)
 val join : t -> unit
 
-(** Pool-wide aggregated metrics from the workers' last published
-    snapshots ([None] until the first worker publishes, i.e. only
-    momentarily after {!create_pool}). Same metric names as
-    {!Server.stats_registry}. *)
+(** Pool-wide aggregated metrics: the merge of the workers' last
+    published snapshots plus the shared metrics ([None] until the first
+    worker publishes, i.e. only momentarily after {!create_pool}). Same
+    metric names, in the same order, as {!Server.stats_registry}. *)
 val stats : t -> St_obs.Metrics.Registry.t option
 
 (** [serve ~domains ~socket ()] — the daemon. Binds [socket] with

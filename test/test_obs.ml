@@ -119,6 +119,114 @@ let test_span () =
   check_int "time returns value" 42 r;
   check_int "time counts section" 3 (M.Span.count s)
 
+(* ---- registry snapshots and merge ---- *)
+
+(* One registry of every kind, in a fixed order, with handles to update. *)
+let sample_registry () =
+  let r = M.Registry.create () in
+  let c = M.Registry.counter r ~labels:[ ("k", "v") ] "c" in
+  let g = M.Registry.gauge r "g" in
+  let h = M.Registry.histogram r "h" in
+  let s = M.Registry.span r "s" in
+  (r, c, g, h, s)
+
+let find r name =
+  match List.find_opt (fun m -> m.M.name = name) (M.Registry.metrics r) with
+  | Some m -> m.M.kind
+  | None -> Alcotest.fail ("no metric " ^ name)
+
+let test_registry_copy_deep () =
+  let r, c, g, h, s = sample_registry () in
+  M.Counter.add c 3;
+  M.Gauge.set g 1.5;
+  M.Histogram.observe h 7;
+  M.Span.add s 0.25;
+  let snap = M.Registry.copy r in
+  M.Counter.add c 100;
+  M.Gauge.set g 9.0;
+  M.Histogram.observe h 1000;
+  M.Span.add s 4.0;
+  (match find snap "c" with
+  | M.Counter c' -> check_int "counter frozen" 3 (M.Counter.value c')
+  | _ -> Alcotest.fail "kind");
+  (match find snap "g" with
+  | M.Gauge g' -> check "gauge frozen" true (M.Gauge.value g' = 1.5)
+  | _ -> Alcotest.fail "kind");
+  (match find snap "h" with
+  | M.Histogram h' ->
+      check_int "histogram count frozen" 1 (M.Histogram.count h');
+      check_int "histogram max frozen" 7 (M.Histogram.max_value h')
+  | _ -> Alcotest.fail "kind");
+  (match find snap "s" with
+  | M.Span s' ->
+      check_int "span count frozen" 1 (M.Span.count s');
+      check "span seconds frozen" true (M.Span.seconds s' = 0.25)
+  | _ -> Alcotest.fail "kind");
+  check "names, labels, order kept" true
+    (List.map (fun m -> (m.M.name, m.M.labels)) (M.Registry.metrics snap)
+    = List.map (fun m -> (m.M.name, m.M.labels)) (M.Registry.metrics r))
+
+let test_registry_merge () =
+  let a, ca, ga, ha, sa = sample_registry () in
+  let b, cb, gb, hb, sb = sample_registry () in
+  M.Counter.add ca 2;
+  M.Counter.add cb 40;
+  M.Gauge.set ga 1.5;
+  M.Gauge.set gb 2.0;
+  List.iter (M.Histogram.observe ha) [ 0; 3; 900 ];
+  List.iter (M.Histogram.observe hb) [ 3; 5; 70_000 ];
+  M.Span.add sa 0.25;
+  M.Span.add sb 0.5;
+  M.Span.add sb 0.25;
+  let m = M.Registry.merge a b in
+  (match find m "c" with
+  | M.Counter c -> check_int "counters add" 42 (M.Counter.value c)
+  | _ -> Alcotest.fail "kind");
+  (match find m "g" with
+  | M.Gauge g -> check "gauges add" true (M.Gauge.value g = 3.5)
+  | _ -> Alcotest.fail "kind");
+  (match find m "h" with
+  | M.Histogram h ->
+      let all = M.Histogram.create () in
+      List.iter (M.Histogram.observe all) [ 0; 3; 900; 3; 5; 70_000 ];
+      check "buckets merge exactly" true
+        (M.Histogram.buckets h = M.Histogram.buckets all);
+      check_int "count" 6 (M.Histogram.count h);
+      check_int "sum" (M.Histogram.sum all) (M.Histogram.sum h);
+      check_int "max" 70_000 (M.Histogram.max_value h)
+  | _ -> Alcotest.fail "kind");
+  (match find m "s" with
+  | M.Span s ->
+      check_int "span counts add" 3 (M.Span.count s);
+      check "span seconds add" true (M.Span.seconds s = 1.0)
+  | _ -> Alcotest.fail "kind");
+  check_int "inputs untouched" 2 (M.Counter.value ca);
+  check_int "histogram input untouched" 3 (M.Histogram.count ha);
+  check "same export shape" true
+    (List.map (fun m -> m.M.name) (M.Registry.metrics m) = [ "c"; "g"; "h"; "s" ])
+
+let test_registry_merge_mismatch () =
+  let raises what a b =
+    check what true
+      (match M.Registry.merge a b with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let base, _, _, _, _ = sample_registry () in
+  let one f =
+    let r = M.Registry.create () in
+    f r;
+    r
+  in
+  let counter ?labels name r = ignore (M.Registry.counter r ?labels name) in
+  raises "different names" (one (counter "x")) (one (counter "y"));
+  raises "different labels"
+    (one (counter ~labels:[ ("k", "1") ] "x"))
+    (one (counter ~labels:[ ("k", "2") ] "x"));
+  raises "different kinds" (one (counter "x"))
+    (one (fun r -> ignore (M.Registry.gauge r "x")));
+  raises "different lengths" base (one (counter ~labels:[ ("k", "v") ] "c"))
+
 (* ---- serialization ---- *)
 
 let test_json_exact () =
@@ -439,6 +547,10 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick
       test_histogram_percentiles;
     Alcotest.test_case "span" `Quick test_span;
+    Alcotest.test_case "registry copy is deep" `Quick test_registry_copy_deep;
+    Alcotest.test_case "registry merge" `Quick test_registry_merge;
+    Alcotest.test_case "registry merge mismatch" `Quick
+      test_registry_merge_mismatch;
     Alcotest.test_case "JSON exact form" `Quick test_json_exact;
     Alcotest.test_case "JSON non-finite + escaping" `Quick test_json_non_finite;
     Alcotest.test_case "JSON \\u decoding (surrogates)" `Quick

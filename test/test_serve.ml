@@ -668,6 +668,214 @@ let test_decoder_copies_stat () =
   check "closed conns keep their copies" true
     (counter_value srv "decoder_copies" > 0)
 
+(* ---- STATS ---- *)
+
+let gauge_value srv name =
+  let metrics = Obs.Metrics.Registry.metrics (SV.stats_registry srv) in
+  match List.find_opt (fun m -> m.Obs.Metrics.name = name) metrics with
+  | Some { Obs.Metrics.kind = Obs.Metrics.Gauge g; _ } ->
+      Obs.Metrics.Gauge.value g
+  | _ -> Alcotest.fail (Printf.sprintf "no gauge %s" name)
+
+(* A connection turned away at capacity or during drain never became a
+   session, so it must not be counted as a closed one either. *)
+let test_rejections_balance () =
+  let clock, _ = fake_clock 0. in
+  let lb = LB.create ~config:(config ~max_sessions:1 clock) () in
+  let srv = LB.server lb in
+  let balanced what =
+    check_int what
+      (int_of_float (gauge_value srv "sessions"))
+      (counter_value srv "sessions_opened"
+      - counter_value srv "sessions_closed")
+  in
+  let a = LB.connect lb in
+  LB.send a (W.Open "json");
+  LB.run lb;
+  let b = LB.connect lb in
+  LB.run lb;
+  check "capacity rejection closed" true (LB.closed b);
+  balanced "opened - closed = sessions after a capacity rejection";
+  SV.drain srv;
+  LB.run lb;
+  let d = LB.connect lb in
+  LB.run lb;
+  check "drain rejection closed" true (LB.closed d);
+  balanced "opened - closed = sessions after a drain rejection";
+  check_int "two rejections" 2 (counter_value srv "sessions_rejected")
+
+(* A scripted loopback run under a fake clock: a json session fed in
+   straddling slices, csv FEEDs coalesced into one batch, a lexical
+   failure, a protocol error, an idle eviction, then both STATS
+   formats. *)
+let golden_stats () =
+  let clock, set = fake_clock 100. in
+  let lb = LB.create ~config:(config ~idle_timeout:30. clock) () in
+  let j = LB.connect lb in
+  LB.send j (W.Open "json");
+  let input = Gen_data.json ~seed:5L ~target_bytes:6000 () in
+  LB.send_feed_sub j input ~pos:0 ~len:(String.length input);
+  LB.send j W.Flush;
+  let idle = LB.connect lb in
+  LB.send idle (W.Open "json");
+  LB.run ~chunk:1000 lb;
+  set 120.;
+  let c = LB.connect lb in
+  LB.send c (W.Open "csv");
+  List.iter (fun s -> LB.send c (W.Feed s)) [ "a,b\n"; "1,2\n3,"; "4\n" ];
+  LB.send c W.Flush;
+  LB.send c W.Close;
+  let l = LB.connect lb in
+  LB.send l (W.Open "@[a-z]+");
+  LB.send l (W.Feed "abc123");
+  LB.send l W.Flush;
+  LB.send l W.Close;
+  let bad = LB.connect lb in
+  LB.send bad (W.Feed "x");
+  LB.run lb;
+  set 125.;
+  LB.send j (W.Feed "[1]");
+  LB.send j W.Flush;
+  LB.run lb;
+  set 140.;
+  LB.tick lb;
+  LB.run lb;
+  check "idle session evicted" true (LB.closed idle);
+  set 142.5;
+  let s = LB.connect lb in
+  LB.send s (W.Stats W.Json);
+  LB.send s (W.Stats W.Prom);
+  LB.run lb;
+  match LB.replies s with
+  | [ W.Metrics { body = json; _ }; W.Metrics { body = prom; _ } ] ->
+      (json, prom)
+  | _ -> Alcotest.fail "expected two METRICS replies"
+
+(* Recorded before the daemon kept its counters in a registry; the
+   STATS bodies must not change by a byte (perfbench reads these names). *)
+let golden_json =
+  String.concat ""
+    [
+      {|{"schema":"streamtok/metrics/v1","metrics":[{"name":"sessions","type":"gauge","value":2,"help":"active sessions"},|};
+      {|{"name":"sessions_peak","type":"gauge","value":5,"help":"peak concurrent sessions"},|};
+      {|{"name":"sessions_opened","type":"counter","value":6,"help":"connections accepted as sessions"},|};
+      {|{"name":"sessions_closed","type":"counter","value":4,"help":"sessions ended (any reason)"},|};
+      {|{"name":"sessions_rejected","type":"counter","value":0,"help":"connections rejected at capacity or drain"},|};
+      {|{"name":"sessions_evicted_idle","type":"counter","value":1,"help":"sessions evicted by the idle timeout"},|};
+      {|{"name":"bytes_in","type":"counter","value":6274,"help":"FEED payload bytes"},|};
+      {|{"name":"bytes_out","type":"counter","value":26682,"help":"reply frame bytes enqueued"},|};
+      {|{"name":"tokens","type":"counter","value":2465,"help":"tokens emitted"},|};
+      {|{"name":"feeds","type":"counter","value":7,"help":"FEED frames processed"},|};
+      {|{"name":"feed_batches","type":"counter","value":5,"help":"coalesced FEED batches flushed"},|};
+      {|{"name":"flushes","type":"counter","value":4,"help":"FLUSH frames processed"},|};
+      {|{"name":"writevs","type":"counter","value":0,"help":"vectored socket writes consumed"},|};
+      {|{"name":"accept_fd_exhausted","type":"counter","value":0,"help":"accepts refused for lack of file descriptors (EMFILE/ENFILE); the listener pauses"},|};
+      {|{"name":"accept_fd_ceiling","type":"counter","value":0,"help":"connections refused because their descriptor number is past select's FD_SETSIZE (1024)"},|};
+      {|{"name":"batch_bytes_direct","type":"counter","value":0,"help":"token-batch frame bytes written in place by writev (no out-queue blit)"},|};
+      {|{"name":"batch_bytes_copied","type":"counter","value":26020,"help":"token-batch frame bytes blitted through the out queue"},|};
+      {|{"name":"decoder_copies","type":"counter","value":1,"help":"receive-buffer compaction copies (frames straddling a read)"},|};
+      {|{"name":"protocol_errors","type":"counter","value":1,"help":"fatal protocol errors"},|};
+      {|{"name":"lexical_errors","type":"counter","value":1,"help":"streams that stopped tokenizing"},|};
+      {|{"name":"feed_latency_ns","type":"histogram","count":5,"sum":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[[0,5]],"help":"per-FEED-batch handling latency, nanoseconds (log2 buckets)"},|};
+      {|{"name":"engine_cache_compiles","type":"counter","value":3,"help":"grammar compiles (cache misses)"},|};
+      {|{"name":"engine_cache_hits","type":"counter","value":1,"help":"engine cache hits"},|};
+      {|{"name":"engine_cache_evictions","type":"counter","value":0,"help":"engines evicted from the cache"},|};
+      {|{"name":"engine_cache_entries","type":"gauge","value":3,"help":"resident compiled engines"},|};
+      {|{"name":"uptime_seconds","type":"gauge","value":42.5,"help":"seconds since server start"}]}|};
+    ]
+
+let golden_prom =
+  {|# HELP streamtok_sessions active sessions
+# TYPE streamtok_sessions gauge
+streamtok_sessions 2
+# HELP streamtok_sessions_peak peak concurrent sessions
+# TYPE streamtok_sessions_peak gauge
+streamtok_sessions_peak 5
+# HELP streamtok_sessions_opened connections accepted as sessions
+# TYPE streamtok_sessions_opened counter
+streamtok_sessions_opened 6
+# HELP streamtok_sessions_closed sessions ended (any reason)
+# TYPE streamtok_sessions_closed counter
+streamtok_sessions_closed 4
+# HELP streamtok_sessions_rejected connections rejected at capacity or drain
+# TYPE streamtok_sessions_rejected counter
+streamtok_sessions_rejected 0
+# HELP streamtok_sessions_evicted_idle sessions evicted by the idle timeout
+# TYPE streamtok_sessions_evicted_idle counter
+streamtok_sessions_evicted_idle 1
+# HELP streamtok_bytes_in FEED payload bytes
+# TYPE streamtok_bytes_in counter
+streamtok_bytes_in 6274
+# HELP streamtok_bytes_out reply frame bytes enqueued
+# TYPE streamtok_bytes_out counter
+streamtok_bytes_out 29369
+# HELP streamtok_tokens tokens emitted
+# TYPE streamtok_tokens counter
+streamtok_tokens 2465
+# HELP streamtok_feeds FEED frames processed
+# TYPE streamtok_feeds counter
+streamtok_feeds 7
+# HELP streamtok_feed_batches coalesced FEED batches flushed
+# TYPE streamtok_feed_batches counter
+streamtok_feed_batches 5
+# HELP streamtok_flushes FLUSH frames processed
+# TYPE streamtok_flushes counter
+streamtok_flushes 4
+# HELP streamtok_writevs vectored socket writes consumed
+# TYPE streamtok_writevs counter
+streamtok_writevs 0
+# HELP streamtok_accept_fd_exhausted accepts refused for lack of file descriptors (EMFILE/ENFILE); the listener pauses
+# TYPE streamtok_accept_fd_exhausted counter
+streamtok_accept_fd_exhausted 0
+# HELP streamtok_accept_fd_ceiling connections refused because their descriptor number is past select's FD_SETSIZE (1024)
+# TYPE streamtok_accept_fd_ceiling counter
+streamtok_accept_fd_ceiling 0
+# HELP streamtok_batch_bytes_direct token-batch frame bytes written in place by writev (no out-queue blit)
+# TYPE streamtok_batch_bytes_direct counter
+streamtok_batch_bytes_direct 0
+# HELP streamtok_batch_bytes_copied token-batch frame bytes blitted through the out queue
+# TYPE streamtok_batch_bytes_copied counter
+streamtok_batch_bytes_copied 26020
+# HELP streamtok_decoder_copies receive-buffer compaction copies (frames straddling a read)
+# TYPE streamtok_decoder_copies counter
+streamtok_decoder_copies 1
+# HELP streamtok_protocol_errors fatal protocol errors
+# TYPE streamtok_protocol_errors counter
+streamtok_protocol_errors 1
+# HELP streamtok_lexical_errors streams that stopped tokenizing
+# TYPE streamtok_lexical_errors counter
+streamtok_lexical_errors 1
+# HELP streamtok_feed_latency_ns per-FEED-batch handling latency, nanoseconds (log2 buckets)
+# TYPE streamtok_feed_latency_ns histogram
+streamtok_feed_latency_ns_bucket{le="0"} 5
+streamtok_feed_latency_ns_bucket{le="+Inf"} 5
+streamtok_feed_latency_ns_sum 0
+streamtok_feed_latency_ns_count 5
+streamtok_feed_latency_ns{quantile="0.5"} 0
+streamtok_feed_latency_ns{quantile="0.9"} 0
+streamtok_feed_latency_ns{quantile="0.99"} 0
+# HELP streamtok_engine_cache_compiles grammar compiles (cache misses)
+# TYPE streamtok_engine_cache_compiles counter
+streamtok_engine_cache_compiles 3
+# HELP streamtok_engine_cache_hits engine cache hits
+# TYPE streamtok_engine_cache_hits counter
+streamtok_engine_cache_hits 1
+# HELP streamtok_engine_cache_evictions engines evicted from the cache
+# TYPE streamtok_engine_cache_evictions counter
+streamtok_engine_cache_evictions 0
+# HELP streamtok_engine_cache_entries resident compiled engines
+# TYPE streamtok_engine_cache_entries gauge
+streamtok_engine_cache_entries 3
+# HELP streamtok_uptime_seconds seconds since server start
+# TYPE streamtok_uptime_seconds gauge
+streamtok_uptime_seconds 42.5
+|}
+
+let test_golden_stats () =
+  let json, prom = golden_stats () in
+  Alcotest.(check string) "JSON STATS body" golden_json json;
+  Alcotest.(check string) "Prometheus STATS body" golden_prom prom
+
 (* ---- vectored write path ---- *)
 
 (* The same request stream through two identical servers: one drained
@@ -915,6 +1123,9 @@ let suite =
     Alcotest.test_case "backpressure mid-coalesced-batch" `Quick
       test_backpressure_mid_batch;
     Alcotest.test_case "decoder copies stat" `Quick test_decoder_copies_stat;
+    Alcotest.test_case "rejections keep sessions balanced" `Quick
+      test_rejections_balance;
+    Alcotest.test_case "golden STATS bodies" `Quick test_golden_stats;
     Alcotest.test_case "vectored write parity" `Quick
       test_vectored_write_parity;
     Alcotest.test_case "feed_batch parity" `Quick test_feed_batch_parity;

@@ -143,6 +143,13 @@ let pool_counter reg name =
       Obs.Metrics.Counter.value c
   | _ -> Alcotest.fail (Printf.sprintf "no counter %s" name)
 
+let pool_gauge reg name =
+  let metrics = Obs.Metrics.Registry.metrics reg in
+  match List.find_opt (fun m -> m.Obs.Metrics.name = name) metrics with
+  | Some { Obs.Metrics.kind = Obs.Metrics.Gauge g; _ } ->
+      Obs.Metrics.Gauge.value g
+  | _ -> Alcotest.fail (Printf.sprintf "no gauge %s" name)
+
 (* (code, retryable) of every ERROR reply in a reply stream *)
 let error_replies s =
   match W.decode_all s with
@@ -195,6 +202,7 @@ let inject_client pool =
 
 let test_pool_parity_and_stats () =
   let expect = Lazy.force json_expect in
+  let t0 = Unix.gettimeofday () in
   let pool = Serve.Shard.create_pool ~domains:2 () in
   let reqs = json_reqs in
   let clients =
@@ -225,7 +233,10 @@ let test_pool_parity_and_stats () =
       check_int "sessions aggregated across workers" 4
         (pool_counter reg "sessions_opened");
       check_int "one compile pool-wide (shared cache)" 1
-        (pool_counter reg "engine_cache_compiles")
+        (pool_counter reg "engine_cache_compiles");
+      (* the pool's uptime, taken once, not summed over workers *)
+      check "uptime within the test's wall time" true
+        (pool_gauge reg "uptime_seconds" <= Unix.gettimeofday () -. t0)
 
 let test_stop_with_inflight_handoff () =
   (* stop racing a just-injected connection: whichever side wins, the
