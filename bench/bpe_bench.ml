@@ -124,6 +124,23 @@ let memory_gate d =
     exit 1
   end
 
+(* Compile gate: [Bpe.Compiler.dfa] (literal rules, Thompson NFA, subset
+   construction, minimization) on the vendored vocabulary, best of 3. The
+   subset construction works per member edge of each DFA state (about
+   0.015 s here); one that steps every member once per class, over dense
+   bitsets of all NFA states, takes 0.13-0.22 s. *)
+let max_dfa_build_seconds = 0.06
+
+let dfa_build v =
+  let build () =
+    match Bpe.Compiler.dfa ~audit:false v with
+    | Ok d -> d
+    | Error e ->
+        Printf.eprintf "bpe bench: %s\n" e;
+        exit 1
+  in
+  (build (), Bench_common.time_best build)
+
 let run ?(throughput = true) () =
   Bench_common.pp_header
     "BPE: merge-table\xe2\x86\x92DFA engine vs the reference merge-loop encoder";
@@ -146,14 +163,13 @@ let run ?(throughput = true) () =
       exit 1);
   let audit_s = Unix.gettimeofday () -. t0 in
 
-  let d =
-    match Bpe.Compiler.dfa ~audit:false v with
-    | Ok d -> d
-    | Error e ->
-        Printf.eprintf "bpe bench: %s\n" e;
-        exit 1
+  let d, dfa_build_s = dfa_build v in
+  let rules_s =
+    Bench_common.time_best (fun () -> Bpe.Compiler.rules_of_vocab v)
   in
-  let k, e, footprint =
+  let rules = Bpe.Compiler.rules_of_vocab v in
+  let of_rules_s = Bench_common.time_best (fun () -> Dfa.of_rules rules) in
+  let k, e, footprint, tnd_s, te_build_s =
     match Engine.compile_timed d with
     | Error Engine.Unbounded_tnd ->
         Printf.eprintf "bpe bench: finite vocabulary analyzed as unbounded\n";
@@ -166,16 +182,29 @@ let run ?(throughput = true) () =
             exit 1
         | Tnd.Infinite -> assert false),
         e,
-        cs.Engine.footprint_bytes
+        cs.Engine.footprint_bytes,
+        cs.Engine.analysis_seconds,
+        cs.Engine.build_seconds
   in
   Printf.printf
     "  vocab %d tokens -> DFA %d states, max-TND %d, audit %.2fs, %d-byte tables\n"
     (Bpe.Vocab.size v) (Dfa.size d) k audit_s footprint;
+  Printf.printf
+    "  compile chain: rules %.4fs, Dfa.of_rules %.4fs, max-TND %.4fs, TE build \
+     %.4fs\n"
+    rules_s of_rules_s tnd_s te_build_s;
   record "tokens" (float_of_int (Bpe.Vocab.size v));
   record "dfa_states" (float_of_int (Dfa.size d));
   record "max_tnd" (float_of_int k);
   record "audit_seconds" audit_s;
   record "footprint_bytes" (float_of_int footprint);
+  record "dfa_build_seconds" dfa_build_s;
+  if dfa_build_s > max_dfa_build_seconds then begin
+    Printf.eprintf
+      "bpe bench: Bpe.Compiler.dfa took %.3fs (best of 3), above the %.2fs gate\n"
+      dfa_build_s max_dfa_build_seconds;
+    exit 1
+  end;
 
   memory_gate d;
 

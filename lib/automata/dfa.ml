@@ -730,32 +730,32 @@ let skip_run2 stops_a kinds_a masks_a tbl_a qa stops_b kinds_b masks_b
    respects: two bytes land in the same class iff every labeled edge either
    contains both or neither, so they are indistinguishable to the subset
    construction (and hence to the DFA). Classic flex [yy_ec] refinement:
-   start from one block and split by membership, one charset at a time.
-   Classes are numbered by first byte occurrence, so the result is
-   deterministic for a given NFA. *)
+   start from one block and split by membership, once per distinct charset
+   (a BPE vocabulary repeats the same single-byte labels across hundreds of
+   edges). A split renumbers through an int array keyed [2·class + member].
+   The coarsest partition is unique and classes are numbered by first byte
+   occurrence, so the result does not depend on the order of the splits. *)
 let equiv_classes (nfa : Nfa.t) =
   let cls = Array.make 256 0 in
   let num = ref 1 in
   let split cs =
-    (* map (old class, membership) -> new class id *)
-    let seen = Hashtbl.create 16 in
+    let ids = Array.make (2 * !num) (-1) in
     let next = ref 0 in
-    let nc = Array.make 256 0 in
     for b = 0 to 255 do
-      let key = (cls.(b), Charset.mem cs (Char.chr b)) in
-      match Hashtbl.find_opt seen key with
-      | Some id -> nc.(b) <- id
-      | None ->
-          Hashtbl.add seen key !next;
-          nc.(b) <- !next;
-          incr next
+      let key = (2 * cls.(b)) + Bool.to_int (Charset.mem cs (Char.chr b)) in
+      if ids.(key) < 0 then begin
+        ids.(key) <- !next;
+        incr next
+      end;
+      cls.(b) <- ids.(key)
     done;
-    if !next <> !num then begin
-      num := !next;
-      Array.blit nc 0 cls 0 256
-    end
+    num := !next
   in
-  Array.iter (fun edges -> List.iter (fun (cs, _) -> split cs) edges) nfa.Nfa.trans;
+  Array.fold_left
+    (fun labels edges -> List.rev_append (List.map fst edges) labels)
+    [] nfa.Nfa.trans
+  |> List.sort_uniq Charset.compare
+  |> List.iter split;
   (String.init 256 (fun b -> Char.chr cls.(b)), !num)
 
 (* One representative byte per class, in class order. *)
@@ -771,11 +771,30 @@ let class_reps classmap num_classes =
   done;
   reps
 
-module Set_tbl = Hashtbl.Make (struct
-  type t = Bits.t
+(* Subset construction over sorted member arrays.
 
-  let equal = Bits.equal
-  let hash = Bits.hash
+   A DFA state is the sorted array of its ε-closed NFA members, interned
+   by a hash over the whole array: [Hashtbl.hash] samples only a bounded
+   prefix, and subsets sharing their first members are the common case.
+   Each NFA state's labeled edges are expanded once, up front, into
+   (class, target) pairs. Expanding a popped DFA state is one walk over
+   its members' pairs that scatters every target into its class's bucket,
+   then per class an ε-closure (a DFS under stamp marks), a sort and an
+   intern. The work is the members' edges plus [nc] interns, not [nc]
+   walks over every member. Targets are interned in class order, the
+   empty set included, so the state numbering is that of the construction
+   that steps the whole set once per class. *)
+module Members_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash a =
+    let h = ref (Array.length a) in
+    Array.iter (fun x -> h := (!h * 0x01000193) lxor x) a;
+    let h = !h * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 29)) land max_int
 end)
 
 let of_nfa ?(classes = true) ?(accel = true) ?(swar = true) ?max_states
@@ -784,55 +803,87 @@ let of_nfa ?(classes = true) ?(accel = true) ?(swar = true) ?max_states
     if classes then equiv_classes nfa else (identity_classmap, 256)
   in
   let reps = class_reps classmap nc in
-  let init = Bits.create nfa.num_states in
-  Bits.add init nfa.start;
-  Nfa.eps_closure nfa init;
-  let tbl = Set_tbl.create 64 in
+  let all_classes = List.init nc Fun.id in
+  (* [edges.(s)]: the (class, target) pairs of NFA state [s]. *)
+  let edges =
+    Array.map
+      (List.concat_map (fun (cs, q) ->
+           List.filter_map
+             (fun c ->
+               if Charset.mem cs (Char.chr reps.(c)) then Some (c, q) else None)
+             all_classes))
+      nfa.trans
+  in
+  let buckets = Array.make nc [] in
+  let mark = Array.make nfa.num_states (-1) in
+  let stamp = ref (-1) in
+  (* Sorted ε-closure of a bucket. *)
+  let closure = function
+    | [] -> [||]
+    | targets ->
+        incr stamp;
+        let st = !stamp in
+        let rec visit members = function
+          | [] -> members
+          | q :: rest when mark.(q) = st -> visit members rest
+          | q :: rest ->
+              mark.(q) <- st;
+              visit (q :: members) (List.rev_append nfa.eps.(q) rest)
+        in
+        let set = Array.of_list (visit [] targets) in
+        Array.sort Int.compare set;
+        set
+  in
+  let tbl = Members_tbl.create 64 in
   let accept = St_util.Int_vec.create () in
-  let trans_rows = ref [] (* reversed list of int arrays *) in
-  let count = ref 0 in
   let worklist = Queue.create () in
   let intern set =
-    match Set_tbl.find_opt tbl set with
+    match Members_tbl.find_opt tbl set with
     | Some id -> id
     | None ->
+        let id = Members_tbl.length tbl in
         (match max_states with
-        | Some cap when !count >= cap ->
+        | Some cap when id >= cap ->
             failwith
               (Printf.sprintf
                  "Dfa.of_nfa: subset construction exceeded %d states \
                   (max_states cap)"
                  cap)
         | _ -> ());
-        let id = !count in
-        incr count;
-        Set_tbl.add tbl set id;
-        St_util.Int_vec.push accept (Nfa.accept_of_set nfa set);
-        Queue.add (set, id) worklist;
+        Members_tbl.add tbl set id;
+        St_util.Int_vec.push accept
+          (Array.fold_left
+             (fun best s ->
+               let r = nfa.accept_rule.(s) in
+               if r >= 0 && (best < 0 || r < best) then r else best)
+             (-1) set);
+        Queue.add set worklist;
         id
   in
-  let start_id = intern init in
-  let scratch = Bits.create nfa.num_states in
+  let start_id = intern (closure [ nfa.start ]) in
+  let rows = ref [] in
   while not (Queue.is_empty worklist) do
-    let set, _id = Queue.pop worklist in
-    let row = Array.make nc 0 in
-    for c = 0 to nc - 1 do
-      Nfa.step nfa set (Char.chr reps.(c)) scratch;
-      row.(c) <- intern (Bits.copy scratch)
-    done;
-    trans_rows := row :: !trans_rows
+    let set = Queue.pop worklist in
+    Array.iter
+      (fun s ->
+        List.iter (fun (c, q) -> buckets.(c) <- q :: buckets.(c)) edges.(s))
+      set;
+    let row =
+      Array.init nc (fun c ->
+          let targets = buckets.(c) in
+          buckets.(c) <- [];
+          intern (closure targets))
+    in
+    rows := row :: !rows
   done;
-  let rows = Array.of_list (List.rev !trans_rows) in
-  let n = !count in
-  let trans = Array.make (n * nc) 0 in
-  Array.iteri (fun q row -> Array.blit row 0 trans (q * nc) nc) rows;
+  let n = Members_tbl.length tbl in
   attach_accel ~enabled:accel ~swar
     {
       num_states = n;
       start = start_id;
       num_classes = nc;
       classmap;
-      trans;
+      trans = Array.concat (List.rev !rows);
       accept = St_util.Int_vec.to_array accept;
       accel = false;
       accel_flags = Bytes.make n '\000';
