@@ -288,15 +288,16 @@ let best_of_runs rounds f =
 
 (* ---------------------------------------------------------------- *)
 (* Engine-cache layout under a compile storm: [domains] domains each *)
-(* resolving the same 4 flag-variants of the json grammar (distinct  *)
-(* cache keys) concurrently. Shared = exactly 4 compiles pool-wide;  *)
-(* per-domain = 4 per domain. The measured gap is the DESIGN.md      *)
-(* justification for keeping one shared locked cache.                *)
+(* resolving the same 4 registry grammars (distinct cache keys)      *)
+(* concurrently. Shared = exactly 4 compiles pool-wide; per-domain = *)
+(* 4 per domain. The measured gap is the DESIGN.md justification for *)
+(* keeping one shared locked cache.                                  *)
 (* ---------------------------------------------------------------- *)
 
+let storm_grammars = [ Formats.json; Formats.csv; Formats.tsv; Formats.xml ]
+
 let cache_storm ~per_domain ~domains:n =
-  let rules = Grammar.rules Formats.json in
-  let variants = [ (true, true); (true, false); (false, true); (false, false) ] in
+  let grammars = List.map Grammar.rules storm_grammars in
   let shared = Engine_cache.create ~max_entries:16 () in
   let started = Atomic.make 0 in
   let per_counts = Atomic.make 0 in
@@ -313,13 +314,11 @@ let cache_storm ~per_domain ~domains:n =
               Domain.cpu_relax ()
             done;
             List.iter
-              (fun (classes, accel) ->
-                match
-                  Engine_cache.find_or_compile cache ~classes ~accel rules
-                with
+              (fun rules ->
+                match Engine_cache.find_or_compile cache rules with
                 | Ok _ -> ()
                 | Error _ -> failwith "serve bench: storm compile failed")
-              variants;
+              grammars;
             if per_domain then
               ignore
                 (Atomic.fetch_and_add per_counts (Engine_cache.compiles cache))))
@@ -452,7 +451,7 @@ let run ?(size_mb = 8) () =
 
   (* -------- engine-cache layout under a 4-domain compile storm ------ *)
   Bench_common.pp_header
-    "Serve: engine cache under a 4-domain compile storm (4 grammar variants)";
+    "Serve: engine cache under a 4-domain compile storm (4 grammars)";
   let storm_domains = 4 in
   let shared_dt, shared_compiles =
     cache_storm ~per_domain:false ~domains:storm_domains

@@ -104,8 +104,8 @@ let stop_bit stops base b =
   (Array.unsafe_get stops (base + (b lsr 5)) lsr (b land 31)) land 1
 
 (* Classification is a pure function of the stop bitmaps, recomputed from
-   them on every build and on every `.stc` load (the v4 format carries the
-   kind bytes only as a cross-check; the masks are always derived). A state
+   them on every build and on every `.stc` load (which stores none of the
+   acceleration tables, only whether to derive them). A state
    with <= 3 stop bytes has >= 253 self-loop bytes, so every SWAR-eligible
    state is necessarily flagged by [compute_accel]. *)
 let swar_max_stop_bytes = 3
@@ -177,6 +177,23 @@ let attach_accel ~enabled ?(swar = true) d =
       accel_flags = Bytes.make d.num_states '\000';
       accel_stops = [||];
       accel_kind = Bytes.make d.num_states '\000';
+      accel_swar = [||];
+      accel_tbl = Bytes.empty;
+    }
+
+let of_tables ~accel ?swar ~start ~num_classes ~classmap ~trans ~accept () =
+  attach_accel ~enabled:accel ?swar
+    {
+      num_states = Array.length accept;
+      start;
+      num_classes;
+      classmap;
+      trans;
+      accept;
+      accel = false;
+      accel_flags = Bytes.empty;
+      accel_stops = [||];
+      accel_kind = Bytes.empty;
       accel_swar = [||];
       accel_tbl = Bytes.empty;
     }
@@ -394,9 +411,10 @@ let skip_run2_bitmap stops_a qa stops_b qb ~off s pos limit =
    produce (2-stop interior state under a many-stop TE powerstate row) —
    runs a merged word loop: SWAR detectors for its fast side plus eight
    0/1 gathers from the slow side's [accel_tbl] byte table, so the pair
-   still advances 8 bytes per iteration in a single pass. Only when both
-   sides are bitmap does the dual bitmap scanner run. *)
-let skip_run2 stops_a kinds_a masks_a tbl_a qa stops_b kinds_b masks_b
+   still advances 8 bytes per iteration in a single pass; the other
+   orientation (B SWAR, A bitmap) swaps the roles into that one loop. Only
+   when both sides are bitmap does the dual bitmap scanner run. *)
+let rec skip_run2 stops_a kinds_a masks_a tbl_a qa stops_b kinds_b masks_b
     tbl_b qb ~off s pos limit =
   let ka = Bytes.unsafe_get kinds_a qa and kb = Bytes.unsafe_get kinds_b qb in
   if ka = '\004' then
@@ -519,118 +537,13 @@ let skip_run2 stops_a kinds_a masks_a tbl_a qa stops_b kinds_b masks_b
     done;
     !i
   end
-  else if ka = '\000' then begin
-    (* mirror: B SWAR, A bitmap via its byte table *)
-    let mbb = qb * 3 in
-    let b1 = Array.unsafe_get masks_b mbb in
-    let b2 = Array.unsafe_get masks_b (mbb + 1) in
-    let b3 = Array.unsafe_get masks_b (mbb + 2) in
-    let ta = qa * 256 in
-    let i = ref pos in
-    let scanning = ref true in
-    (if kb <= '\002' then
-       while !scanning && !i + 8 <= limit do
-         let wo = get64u s (!i + off) in
-         let p = !i in
-         let g =
-           Char.code
-             (Bytes.unsafe_get tbl_a (ta + Char.code (String.unsafe_get s p)))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 1))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 2))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 3))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 4))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 5))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 6))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 7))))
-         in
-         let y1 = Int64.logxor wo b1 and y2 = Int64.logxor wo b2 in
-         let h =
-           Int64.logor
-             (Int64.logand
-                (Int64.logand (Int64.sub y1 0x0101010101010101L)
-                   (Int64.lognot y1))
-                0x8080808080808080L)
-             (Int64.logand
-                (Int64.logand (Int64.sub y2 0x0101010101010101L)
-                   (Int64.lognot y2))
-                0x8080808080808080L)
-         in
-         if g = 0 && h = 0L then i := !i + 8 else scanning := false
-       done
-     else
-       while !scanning && !i + 8 <= limit do
-         let wo = get64u s (!i + off) in
-         let p = !i in
-         let g =
-           Char.code
-             (Bytes.unsafe_get tbl_a (ta + Char.code (String.unsafe_get s p)))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 1))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 2))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 3))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 4))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 5))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 6))))
-           lor Char.code
-                 (Bytes.unsafe_get tbl_a
-                    (ta + Char.code (String.unsafe_get s (p + 7))))
-         in
-         let y1 = Int64.logxor wo b1
-         and y2 = Int64.logxor wo b2
-         and y3 = Int64.logxor wo b3 in
-         let h =
-           Int64.logor
-             (Int64.logor
-                (Int64.logand
-                   (Int64.logand (Int64.sub y1 0x0101010101010101L)
-                      (Int64.lognot y1))
-                   0x8080808080808080L)
-                (Int64.logand
-                   (Int64.logand (Int64.sub y2 0x0101010101010101L)
-                      (Int64.lognot y2))
-                   0x8080808080808080L))
-             (Int64.logand
-                (Int64.logand (Int64.sub y3 0x0101010101010101L)
-                   (Int64.lognot y3))
-                0x8080808080808080L)
-         in
-         if g = 0 && h = 0L then i := !i + 8 else scanning := false
-       done);
-    let ba = qa * 8 and bb = qb * 8 in
-    while
-      !i < limit
-      && stop_bit stops_a ba (Char.code (String.unsafe_get s !i)) = 0
-      && stop_bit stops_b bb (Char.code (String.unsafe_get s (!i + off))) = 0
-    do
-      incr i
-    done;
-    !i
-  end
+  else if ka = '\000' then
+    (* B SWAR, A bitmap: the branch above with the roles swapped, B's
+       cursor leading by [-off]; both cursors keep their ranges, so the
+       caller's bounds guarantee carries over *)
+    skip_run2 stops_b kinds_b masks_b tbl_b qb stops_a kinds_a masks_a tbl_a
+      qa ~off:(-off) s (pos + off) (limit + off)
+    - off
   else begin
     let mba = qa * 3 and mbb = qb * 3 in
     let a1 = Array.unsafe_get masks_a mba in
@@ -788,12 +701,35 @@ module Members_tbl = Hashtbl.Make (struct
   type t = int array
 
   let equal a b =
-    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+      incr i
+    done;
+    !i = n
 
+  (* four independent multiply chains, so a 257-entry minimization
+     signature costs about what [Hashtbl.hash]'s 10-entry prefix does *)
   let hash a =
-    let h = ref (Array.length a) in
-    Array.iter (fun x -> h := (!h * 0x01000193) lxor x) a;
-    let h = !h * 0x9E3779B97F4A7C1 in
+    let n = Array.length a in
+    let h0 = ref n and h1 = ref 0 and h2 = ref 0 and h3 = ref 0 in
+    let i = ref 0 in
+    while !i + 4 <= n do
+      let j = !i in
+      h0 := (!h0 * 0x01000193) lxor Array.unsafe_get a j;
+      h1 := (!h1 * 0x01000193) lxor Array.unsafe_get a (j + 1);
+      h2 := (!h2 * 0x01000193) lxor Array.unsafe_get a (j + 2);
+      h3 := (!h3 * 0x01000193) lxor Array.unsafe_get a (j + 3);
+      i := j + 4
+    done;
+    while !i < n do
+      h0 := (!h0 * 0x01000193) lxor Array.unsafe_get a !i;
+      incr i
+    done;
+    let h = (((!h0 * 0x01000193) lxor !h1) * 0x01000193) lxor !h2 in
+    let h = ((h * 0x01000193) lxor !h3) * 0x9E3779B97F4A7C1 in
     (h lxor (h lsr 29)) land max_int
 end)
 
@@ -876,27 +812,18 @@ let of_nfa ?(classes = true) ?(accel = true) ?(swar = true) ?max_states
     in
     rows := row :: !rows
   done;
-  let n = Members_tbl.length tbl in
-  attach_accel ~enabled:accel ~swar
-    {
-      num_states = n;
-      start = start_id;
-      num_classes = nc;
-      classmap;
-      trans = Array.concat (List.rev !rows);
-      accept = St_util.Int_vec.to_array accept;
-      accel = false;
-      accel_flags = Bytes.make n '\000';
-      accel_stops = [||];
-      accel_kind = Bytes.make n '\000';
-      accel_swar = [||];
-      accel_tbl = Bytes.empty;
-    }
+  of_tables ~accel ~swar ~start:start_id ~num_classes:nc ~classmap
+    ~trans:(Array.concat (List.rev !rows))
+    ~accept:(St_util.Int_vec.to_array accept)
+    ()
 
 (* Moore minimization, in class space. The initial partition separates
    states by Λ (so distinct token ids are never merged); refinement splits
    blocks whose members disagree on the block of some successor. The
-   classmap is unchanged: merging states never coarsens the alphabet. *)
+   classmap is unchanged: merging states never coarsens the alphabet.
+   Signatures are [nc + 1]-entry arrays, keyed through [Members_tbl]: a
+   polymorphic [Hashtbl] would hash only their prefix, where most states
+   of a BPE vocabulary agree. *)
 let minimize_dfa d =
   let n = d.num_states in
   let nc = d.num_classes in
@@ -917,7 +844,7 @@ let minimize_dfa d =
   while !changed do
     changed := false;
     (* signature of a state: (block, successor blocks) *)
-    let sig_tbl = Hashtbl.create n in
+    let sig_tbl = Members_tbl.create n in
     let new_block = Array.make n 0 in
     let count = ref 0 in
     for q = 0 to n - 1 do
@@ -926,10 +853,10 @@ let minimize_dfa d =
       for c = 0 to nc - 1 do
         key.(c + 1) <- block.(d.trans.((q * nc) + c))
       done;
-      match Hashtbl.find_opt sig_tbl key with
+      match Members_tbl.find_opt sig_tbl key with
       | Some b -> new_block.(q) <- b
       | None ->
-          Hashtbl.add sig_tbl key !count;
+          Members_tbl.add sig_tbl key !count;
           new_block.(q) <- !count;
           incr count
     done;
@@ -953,21 +880,8 @@ let minimize_dfa d =
      leave none unreachable, but keep the invariant explicit). Merging
      renumbers states and rebuilds [trans], so the accel tables are
      recomputed whenever the input carried them. *)
-  attach_accel ~enabled:d.accel ~swar:(accel_swar_enabled d)
-    {
-      num_states = m;
-      start = block.(d.start);
-      num_classes = nc;
-      classmap = d.classmap;
-      trans;
-      accept;
-      accel = false;
-      accel_flags = Bytes.make m '\000';
-      accel_stops = [||];
-      accel_kind = Bytes.make m '\000';
-      accel_swar = [||];
-      accel_tbl = Bytes.empty;
-    }
+  of_tables ~accel:d.accel ~swar:(accel_swar_enabled d) ~start:block.(d.start)
+    ~num_classes:nc ~classmap:d.classmap ~trans ~accept ()
 
 let of_rules ?(minimize = true) ?classes ?accel ?swar ?max_states rules =
   let d = of_nfa ?classes ?accel ?swar ?max_states (Nfa.of_rules rules) in

@@ -129,10 +129,18 @@ val of_grammar :
     without touching the transition table. *)
 
 (** Recompute (or strip, with [~enabled:false]) the acceleration tables of
-    an existing DFA. Used by deserialization and by rebuilds that renumber
-    states. [swar] (default true) controls whether the SWAR classification
+    an existing DFA. Used by rebuilds that renumber states and, through
+    {!of_tables}, by deserialization. [swar] (default true) controls whether the SWAR classification
     is computed alongside the bitmaps. *)
 val attach_accel : enabled:bool -> ?swar:bool -> t -> t
+
+(** [of_tables ~accel ~start ~num_classes ~classmap ~trans ~accept ()]: the
+    DFA with these tables ([num_states] is the length of [accept]) and its
+    acceleration tables derived as by {!attach_accel}. The tables are taken
+    as given: callers building from untrusted data check ranges first. *)
+val of_tables :
+  accel:bool -> ?swar:bool -> start:int -> num_classes:int -> classmap:string ->
+  trans:int array -> accept:int array -> unit -> t
 
 val accel_enabled : t -> bool
 
@@ -151,9 +159,8 @@ val is_accel_state : t -> int -> bool
 
 (** [swar_classify ~num_states ~stops]: derive the per-state scanner
     classification (kind bytes + broadcast masks) from stop-byte bitmaps.
-    Exposed for deserialization (which recomputes and cross-checks the
-    stored kinds) and for the SWAR oracle tests, which feed it synthetic
-    bitmaps. *)
+    Exposed for the token-extension DFA's per-powerstate rows and for the
+    SWAR oracle tests, which feed it synthetic bitmaps. *)
 val swar_classify :
   num_states:int -> stops:int array -> Bytes.t * int64 array
 

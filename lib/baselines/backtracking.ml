@@ -25,8 +25,6 @@ let run d s ~emit =
   let coacc = Dfa.co_accessible d in
   let trans = d.Dfa.trans and accept = d.Dfa.accept in
   let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
   let n = String.length s in
   let steps = ref 0 in
   let startP = ref 0 in
@@ -37,9 +35,7 @@ let run d s ~emit =
     let pos = ref !startP in
     let tk_len = ref 0 and tk_rule = ref (-1) in
     let scanning = ref true in
-    let prev2 = ref (-1) in
     while !scanning && !pos < n do
-      let prev = !q in
       q :=
         trans.((!q * nc)
                + Char.code
@@ -53,23 +49,6 @@ let run d s ~emit =
         tk_rule := rule
       end;
       if not (Bits.mem coacc !q) then scanning := false
-      else if
-        !q = prev && prev = !prev2
-        && Bytes.unsafe_get aflags !q <> '\000'
-        && !pos < n
-        && Dfa.stop_bit astops (!q * 8) (Char.code (String.unsafe_get s !pos))
-           = 0
-      then begin
-        (* self-loop run: accept status is constant, so the furthest match
-           moves with the skip; [steps] still counts every byte read *)
-        let j = Dfa.skip_run astops akind aswar !q s !pos n in
-        if j > !pos then begin
-          steps := !steps + (j - !pos);
-          pos := j;
-          if rule >= 0 then tk_len := !pos - !startP
-        end
-      end;
-      prev2 := prev
     done;
     if !tk_rule >= 0 then begin
       emit ~pos:!startP ~len:!tk_len ~rule:!tk_rule;
@@ -125,7 +104,6 @@ let run_buffered d ~capacity ~read ~emit =
       let pos = ref !startp in
       let tk_len = ref 0 and tk_rule = ref (-1) in
       let scanning = ref true in
-      let prev2 = ref (-1) in
       while !scanning do
         if !pos >= !fill then begin
           if !eof then scanning := false
@@ -137,7 +115,6 @@ let run_buffered d ~capacity ~read ~emit =
           end
         end
         else begin
-          let prev = !q in
           q := Dfa.step d !q (Bytes.get !buf !pos);
           incr pos;
           incr steps;
@@ -147,29 +124,6 @@ let run_buffered d ~capacity ~read ~emit =
             tk_rule := rule
           end;
           if not (Bits.mem coacc !q) then scanning := false
-          else if
-            !q = prev && prev = !prev2
-            && Bytes.unsafe_get d.Dfa.accel_flags !q <> '\000'
-            && !pos < !fill
-            && Dfa.stop_bit d.Dfa.accel_stops (!q * 8)
-                 (Char.code (Bytes.unsafe_get !buf !pos))
-               = 0
-          then begin
-            (* skip within the filled window; the refill logic above
-               resumes normally at the stop byte (or the fill limit) *)
-            let j =
-              Dfa.skip_run d.Dfa.accel_stops d.Dfa.accel_kind
-                d.Dfa.accel_swar !q
-                (Bytes.unsafe_to_string !buf)
-                !pos !fill
-            in
-            if j > !pos then begin
-              steps := !steps + (j - !pos);
-              pos := j;
-              if rule >= 0 then tk_len := !pos - !startp
-            end
-          end;
-          prev2 := prev
         end
       done;
       if !tk_rule >= 0 then begin

@@ -7,7 +7,10 @@
     max-TND is k (paper Lemma 12).
 
     This module doubles as the {e executable specification} of maximal-munch
-    tokenization: every other engine is differentially tested against it. *)
+    tokenization: every other engine is differentially tested against it.
+    Its loops are the plain Fig. 2 loops — one table step per byte read, no
+    self-loop skipping — so they share no scanner with the engines under
+    test; the DFA's acceleration tables are never read. *)
 
 open St_automata
 

@@ -11,8 +11,6 @@ let run d s ~emit =
   let coacc = Dfa.co_accessible d in
   let trans = d.Dfa.trans and accept = d.Dfa.accept in
   let cmap = d.Dfa.classmap and nc = d.Dfa.num_classes in
-  let aflags = d.Dfa.accel_flags and astops = d.Dfa.accel_stops in
-  let akind = d.Dfa.accel_kind and aswar = d.Dfa.accel_swar in
   let n = String.length s in
   let m = Dfa.size d in
   (* failed bit (q * (n+1) + pos): the deterministic run from state q at
@@ -47,11 +45,9 @@ let run d s ~emit =
     St_util.Int_vec.clear visited_q;
     St_util.Int_vec.clear visited_pos;
     let scanning = ref true in
-    let prev2 = ref (-1) in
     while !scanning && !pos < n do
       if memo_mem (key !q !pos) then scanning := false
       else begin
-        let prev = !q in
         q :=
           trans.((!q * nc)
                  + Char.code
@@ -68,30 +64,6 @@ let run d s ~emit =
           last_accept_index := St_util.Int_vec.length visited_q - 1
         end;
         if not (Bits.mem coacc !q) then scanning := false
-        else if
-          rule >= 0 && !q = prev && prev = !prev2
-          && Bytes.unsafe_get aflags !q <> '\000'
-          && !pos < n
-          && Dfa.stop_bit astops (!q * 8)
-               (Char.code (String.unsafe_get s !pos))
-             = 0
-        then begin
-          (* Accelerate only final self-loop states: every skipped pair is
-             an accept, so it precedes the scan's last accept and would
-             never be memoized anyway — the failed-bit table is identical
-             to the unaccelerated run's. Record only the run's endpoint
-             and move the last accept there. *)
-          let j = Dfa.skip_run astops akind aswar !q s !pos n in
-          if j > !pos then begin
-            steps := !steps + (j - !pos);
-            pos := j;
-            tk_len := !pos - !startP;
-            St_util.Int_vec.push visited_q !q;
-            St_util.Int_vec.push visited_pos !pos;
-            last_accept_index := St_util.Int_vec.length visited_q - 1
-          end
-        end;
-        prev2 := prev
       end
     done;
     (* memoize every pair visited strictly after the last accept: from

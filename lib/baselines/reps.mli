@@ -6,7 +6,8 @@
     visited after that accept can never contribute a longer token, so later
     scans stop as soon as they reach one. Time becomes O(n); the cost is the
     table, whose size is O(M·n) in the worst case — the memory drawback the
-    paper (and [29]) point out. *)
+    paper (and [29]) point out. Like {!Backtracking}, it steps the table
+    once per byte and never enters a skip loop. *)
 
 open St_automata
 

@@ -58,10 +58,16 @@ let is_empty t = t.w0 = 0L && t.w1 = 0L && t.w2 = 0L && t.w3 = 0L
 let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 
+(* FNV-style fold over the eight 32-bit halves, then a multiply/xor-shift
+   finalizer so every input bit reaches the low bits a [Hashtbl] indexes
+   by: the 256 singletons land on all 64 residues mod 64. *)
 let hash t =
-  let h64 x = Int64.to_int (Int64.logxor x (Int64.shift_right_logical x 33)) in
-  (h64 t.w0 + (31 * h64 t.w1) + (961 * h64 t.w2) + (29791 * h64 t.w3))
-  land max_int
+  let mix h w =
+    let h = (h * 0x01000193) lxor Int64.to_int (Int64.shift_right_logical w 32) in
+    (h * 0x01000193) lxor (Int64.to_int w land 0xFFFF_FFFF)
+  in
+  let h = mix (mix (mix (mix 0 t.w0) t.w1) t.w2) t.w3 * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land max_int
 
 let popcount64 x =
   let rec go x acc =

@@ -26,15 +26,9 @@ let create ?(max_entries = 64) () =
     evictions = 0;
   }
 
-let key_of_rules ?(classes = true) ?(accel = true) rules =
-  (* compile flags are part of the identity: a classed+accelerated engine
-     and a reference build of the same grammar are distinct artifacts *)
-  let flags =
-    Printf.sprintf "\nclasses=%b accel=%b" classes accel
-  in
+let key_of_rules rules =
   Digest.to_hex
-    (Digest.string
-       (String.concat "\n" (List.map Regex.to_string rules) ^ flags))
+    (Digest.string (String.concat "\n" (List.map Regex.to_string rules)))
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -66,8 +60,8 @@ let p_compile = St_trace.Trace.probe ~cat:"engine" "cache.compile"
    capped by [max_states]), while lookups are per-session rare, so the
    simple global lock beats per-key in-progress tracking in both code
    size and measured storm behavior (see DESIGN.md, Sharding). *)
-let find_or_compile t ?(classes = true) ?(accel = true) ?max_states rules =
-  let key = key_of_rules ~classes ~accel rules in
+let find_or_compile t ?max_states rules =
+  let key = key_of_rules rules in
   Mutex.lock t.mu;
   match Hashtbl.find_opt t.table key with
   | Some e ->
@@ -80,7 +74,7 @@ let find_or_compile t ?(classes = true) ?(accel = true) ?max_states rules =
   | None -> (
       match
         St_trace.Trace.with_span p_compile (fun () ->
-            Engine.compile_rules ~classes ~accel ?max_states rules)
+            Engine.compile_rules ?max_states rules)
       with
       | result ->
           t.compiles <- t.compiles + 1;
@@ -93,8 +87,8 @@ let find_or_compile t ?(classes = true) ?(accel = true) ?max_states rules =
           Mutex.unlock t.mu;
           raise exn)
 
-let mem t ?(classes = true) ?(accel = true) rules =
-  let key = key_of_rules ~classes ~accel rules in
+let mem t rules =
+  let key = key_of_rules rules in
   Mutex.lock t.mu;
   let r = Hashtbl.mem t.table key in
   Mutex.unlock t.mu;

@@ -32,29 +32,22 @@ type t
 val create : ?max_entries:int -> unit -> t
 
 (** Canonical cache key: MD5 of the canonically printed rules, newline
-    separated, in priority order, plus the compile flags ([classes],
-    [accel], both default [true]). The same grammar compiled with
-    different flags yields different engines, so the flags are part of
-    the key. *)
-val key_of_rules : ?classes:bool -> ?accel:bool -> Regex.t list -> string
+    separated, in priority order. Every entry is the default build
+    (classed, accelerated); reference builds are compiled directly, never
+    through the cache. *)
+val key_of_rules : Regex.t list -> string
 
 (** [find_or_compile t rules] returns the cached engine (or cached compile
-    error) for [rules] under the given compile flags, compiling on first
-    use. [max_states] caps the subset construction of a cache-miss compile
+    error) for [rules], compiling on first use. [max_states] caps the subset construction of a cache-miss compile
     ({!St_automata.Dfa.of_nfa}); the resulting [Failure] propagates and is
     not cached. It is not part of the key: a successful capped build is
     identical to the uncapped one. *)
 val find_or_compile :
-  t ->
-  ?classes:bool ->
-  ?accel:bool ->
-  ?max_states:int ->
-  Regex.t list ->
-  (Engine.t, Engine.error) result
+  t -> ?max_states:int -> Regex.t list -> (Engine.t, Engine.error) result
 
-(** [mem t rules] — is the grammar (under these flags) resident (no
-    compile, no counter bump)? *)
-val mem : t -> ?classes:bool -> ?accel:bool -> Regex.t list -> bool
+(** [mem t rules] — is the grammar resident (no compile, no counter
+    bump)? *)
+val mem : t -> Regex.t list -> bool
 
 (** {1 Counters} *)
 

@@ -4,19 +4,15 @@ let magic = "STKE"
 
 (* version 2 added alphabet equivalence classes: a num_classes field plus the
    raw 256-byte classmap, with the transition table shrunk to
-   num_states × num_classes. Version 3 appends the self-loop acceleration
-   tables (one enable byte, then per-state flags and 256-bit stop bitmaps,
-   serialized as 8 little-endian 32-bit words per state,
-   when enabled). Version 4 appends, after the stop bitmaps, one SWAR
-   accel-kind byte per state (0 = bitmap tier, 1–3 = SWAR with that many
-   stop bytes, 4 = free-running); the 64-bit broadcast masks are never
-   serialized — they are always rederived from the stop bitmaps, and the
-   stored kinds are cross-checked against the rederivation on load.
-   Version-2 and version-3 blobs are still readable — acceleration and its
-   SWAR classification are derived data, so they are recomputed on load.
-   Version-1 blobs (dense 256-column) are no longer produced and are
-   rejected on load. *)
-let version = 4
+   num_states × num_classes. Version 3 appended one accel-enable byte, then
+   (when set) per-state flags and 256-bit stop bitmaps; version 4 added one
+   SWAR kind byte per state after the bitmaps. Version 5 keeps only the
+   enable byte: every acceleration table is a function of the transitions,
+   so it is rebuilt on load and a blob cannot carry tables its transitions
+   do not imply. v2–v4 blobs still load: a v3/v4 accel section is checked
+   for length and otherwise ignored, and a v2 blob loads accelerated.
+   Version-1 blobs (dense 256-column) are rejected. *)
+let version = 5
 
 (* little-endian 32-bit ints; table entries are small nonnegative numbers
    (state ids, rule ids ≥ -1 stored +1) *)
@@ -56,17 +52,6 @@ let to_string e =
   Array.iter (fun r -> put_i32 buf (r + 1)) d.Dfa.accept;
   Array.iter (fun t -> put_i32 buf t) d.Dfa.trans;
   Buffer.add_char buf (if d.Dfa.accel then '\001' else '\000');
-  if d.Dfa.accel then begin
-    Buffer.add_bytes buf d.Dfa.accel_flags;
-    Array.iter (fun w -> put_i32 buf w) d.Dfa.accel_stops;
-    (* kinds are written from the classification the stop bitmaps imply, so
-       even an engine built [~swar:false] serializes to a blob that reloads
-       as the canonical (SWAR-enabled) accelerated build *)
-    let kinds, _ =
-      Dfa.swar_classify ~num_states:d.Dfa.num_states ~stops:d.Dfa.accel_stops
-    in
-    Buffer.add_bytes buf kinds
-  end;
   let s = Bytes.of_string (Buffer.contents buf) in
   let c = checksum (Bytes.unsafe_to_string s) 9 in
   Bytes.set s 5 (Char.chr (c land 0xff));
@@ -79,9 +64,8 @@ let of_string ?(verify = true) s =
   let err msg = Error ("Engine_io: " ^ msg) in
   if String.length s < 281 then err "truncated header"
   else if String.sub s 0 4 <> magic then err "bad magic"
-  else if
-    Char.code s.[4] <> 2 && Char.code s.[4] <> 3 && Char.code s.[4] <> version
-  then err (Printf.sprintf "unsupported version %d" (Char.code s.[4]))
+  else if Char.code s.[4] < 2 || Char.code s.[4] > version then
+    err (Printf.sprintf "unsupported version %d" (Char.code s.[4]))
   else begin
     let ver = Char.code s.[4] in
     let stored_sum = get_i32 s 5 in
@@ -92,21 +76,18 @@ let of_string ?(verify = true) s =
       let start = get_i32 s 17 in
       let num_classes = get_i32 s 21 in
       let tables_end = 281 + (4 * num_states) + (4 * num_states * num_classes) in
-      (* v3+ appends an accel-enable byte, then flags + stop bitmaps when
-         set; v4 additionally appends one SWAR kind byte per state *)
-      let accel_on =
-        ver >= 3
-        && String.length s > tables_end
-        && s.[tables_end] = '\001'
+      (* v3+ appends the accel-enable byte; when it is set, v3 follows it
+         with flags + stop bitmaps and v4 with kind bytes as well *)
+      let accel =
+        ver = 2 || (String.length s > tables_end && s.[tables_end] = '\001')
       in
       let need =
         if ver = 2 then tables_end
         else
           tables_end + 1
           +
-          if accel_on then
-            num_states + (num_states * 32)
-            + if ver >= 4 then num_states else 0
+          if accel && ver <= 4 then
+            (33 * num_states) + if ver = 4 then num_states else 0
           else 0
       in
       if
@@ -133,102 +114,26 @@ let of_string ?(verify = true) s =
           if Array.exists (fun t -> t < 0 || t >= num_states) trans then
             err "transition out of range"
           else begin
-            let bare =
-              {
-                Dfa.num_states;
-                start;
-                num_classes;
-                classmap;
-                trans;
-                accept;
-                accel = false;
-                accel_flags = Bytes.make num_states '\000';
-                accel_stops = [||];
-                accel_kind = Bytes.make num_states '\000';
-                accel_swar = [||];
-                accel_tbl = Bytes.empty;
-              }
+            let d =
+              Dfa.of_tables ~accel ~start ~num_classes ~classmap ~trans ~accept
+                ()
             in
-            let accel_tables =
-              if not accel_on then Ok None
-              else begin
-                let fbase = tables_end + 1 in
-                let flags = Bytes.of_string (String.sub s fbase num_states) in
-                let sbase = fbase + num_states in
-                let stops =
-                  Array.init (num_states * 8) (fun i ->
-                      get_i32 s (sbase + (4 * i)))
-                in
-                if
-                  Bytes.exists (fun c -> Char.code c > 1) flags
-                then err "bad accel state flag"
-                else begin
-                  (* SWAR classification (and its broadcast masks) is derived
-                     from the stop bitmaps; a v4 blob stores the kind bytes
-                     only as a cross-check — a kind the bitmaps don't imply
-                     would silently corrupt the skip loops, so reject it *)
-                  let kinds, masks =
-                    Dfa.swar_classify ~num_states ~stops
-                  in
-                  if ver >= 4 then begin
-                    let kbase = sbase + (num_states * 32) in
-                    let stored = String.sub s kbase num_states in
-                    if String.exists (fun c -> c > '\004') stored then
-                      err "bad accel kind byte"
-                    else if not (String.equal stored (Bytes.to_string kinds))
-                    then err "accel kinds inconsistent with stop bitmaps"
-                    else Ok (Some (flags, stops, kinds, masks))
-                  end
-                  else Ok (Some (flags, stops, kinds, masks))
-                end
-              end
-            in
-            match accel_tables with
-            | Error _ as e -> e
-            | Ok tables ->
-                let d =
-                  match tables with
-                  | None ->
-                      (* v2, or a v3/v4 blob serialized from an unaccelerated
-                         build: acceleration is derived data — recompute *)
-                      Dfa.attach_accel ~enabled:(ver = 2) bare
-                  | Some (accel_flags, accel_stops, accel_kind, accel_swar) ->
-                      {
-                        bare with
-                        Dfa.accel = true;
-                        accel_flags;
-                        accel_stops;
-                        accel_kind;
-                        accel_swar;
-                        accel_tbl =
-                          Dfa.swar_byte_table ~num_states
-                            ~stops:accel_stops;
-                      }
-                in
-                (* stored accel tables must match what the analysis derives
-                   from the stored transition tables *)
-                if
-                  verify && accel_on
-                  && not (Dfa.equal d (Dfa.attach_accel ~enabled:true bare))
-                then err "accel tables inconsistent with transitions"
-                else if verify then begin
-                  match St_analysis.Tnd.max_tnd d with
-                  | St_analysis.Tnd.Finite k' when k' = k -> (
-                      match Engine.compile d with
-                      | Ok e -> Ok e
-                      | Error Engine.Unbounded_tnd ->
-                          err "analysis disagreement")
-                  | St_analysis.Tnd.Finite k' ->
-                      err
-                        (Printf.sprintf "stored max-TND %d but analysis says %d"
-                           k k')
-                  | St_analysis.Tnd.Infinite ->
-                      err "stored DFA has unbounded max-TND"
-                end
-                else
-                  match Engine.compile_trusted d ~k with
-                  | e -> Ok e
-                  | exception Invalid_argument m -> err m
+            if verify then begin
+              match St_analysis.Tnd.max_tnd d with
+              | St_analysis.Tnd.Finite k' when k' = k -> (
+                  match Engine.compile d with
+                  | Ok e -> Ok e
+                  | Error Engine.Unbounded_tnd -> err "analysis disagreement")
+              | St_analysis.Tnd.Finite k' ->
+                  err
+                    (Printf.sprintf "stored max-TND %d but analysis says %d" k
+                       k')
+              | St_analysis.Tnd.Infinite -> err "stored DFA has unbounded max-TND"
+            end
+            else
+              match Engine.compile_trusted d ~k with
+              | e -> Ok e
+              | exception Invalid_argument m -> err m
           end
         end
       end

@@ -5,15 +5,18 @@
     then load the compiled tokenizer at startup without re-running the
     subset construction or the max-TND analysis.
 
-    The format stores the tokenization DFA and the analyzed max-TND; the
-    derived structures (Fig. 5 table, co-accessibility, token-extension
-    DFA) are cheap and rebuilt on load. The self-loop acceleration tables
-    travel with the DFA (v3), including the per-state SWAR tier
-    classification (v4, cross-checked against the stop bitmaps on load;
-    the 64-bit broadcast masks are always rederived). v2/v3 blobs still
-    load — SWAR classification is derived data and is recomputed. The
-    encoding is a versioned, self-describing binary format — not
-    [Marshal] — so files are stable across compiler versions. *)
+    The format (v5) stores the tokenization DFA, the analyzed max-TND and
+    one byte saying whether the DFA is accelerated. Everything else is
+    derived and rebuilt on load: the Fig. 5 table, co-accessibility, the
+    token-extension DFA, and the self-loop acceleration tables (stop
+    bitmaps, SWAR classification), which {!St_automata.Dfa.attach_accel}
+    recomputes from the stored transitions (an engine built [~swar:false]
+    therefore reloads as the default SWAR-classified build). A loaded engine's skip loops
+    therefore never run on tables its transitions do not imply, verified
+    or not. v2–v4 blobs still load; the accel section of a v3/v4 blob is
+    checked for length and otherwise ignored. The encoding is a versioned,
+    self-describing binary format — not [Marshal] — so files are stable
+    across compiler versions. *)
 
 val magic : string
 val version : int

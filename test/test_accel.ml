@@ -2,8 +2,8 @@
    against the transition function, build determinism, the skip-loop
    scanners' unit behaviour around the unroll boundaries, golden-corpus
    parity of accelerated vs. reference engines (batch and chunked), the
-   streaming skip counters, and the .stc v4 accel section (round-trip,
-   v2/v3 compat, corruption). The SWAR tier itself (word-level oracle,
+   streaming skip counters, and .stc loading (v5 round-trip, v2-v4 compat,
+   corrupted v4 accel sections). The SWAR tier itself (word-level oracle,
    endianness, random battery) lives in test_swar.ml. *)
 
 open Streamtok
@@ -287,7 +287,7 @@ let test_streaming_skip_counters () =
   ignore (Stream_tokenizer.finish st');
   check_int "noaccel skips nothing" 0 (Stream_tokenizer.accel_skipped_bytes st')
 
-(* ---- .stc v4 accel section ---- *)
+(* ---- .stc: acceleration is derived on load ---- *)
 
 let compile_grammar g =
   match Engine.compile (Grammar.dfa g) with
@@ -310,130 +310,176 @@ let fix_checksum b =
 let tables_end d =
   281 + (4 * Dfa.size d) + (4 * Dfa.size d * Dfa.num_classes d)
 
-let test_stc_v4_roundtrip () =
+(* A blob in an older layout, written from [e]'s DFA as that version's
+   writer did: v2 ends with the transition tables; v3 adds the enable
+   byte, then (when accelerated) the per-state flags and the stop bitmaps
+   as little-endian 32-bit words; v4 adds one SWAR kind byte per state. *)
+let legacy_blob ~ver e =
+  let d = Engine.dfa e in
+  let v5 = Engine_io.to_string e in
+  let b = Buffer.create (String.length v5) in
+  Buffer.add_string b (String.sub v5 0 (tables_end d));
+  if ver >= 3 then begin
+    Buffer.add_char b v5.[tables_end d];
+    if Dfa.accel_enabled d then begin
+      Buffer.add_bytes b d.Dfa.accel_flags;
+      Array.iter
+        (fun w ->
+          for i = 0 to 3 do
+            Buffer.add_char b (Char.chr ((w lsr (8 * i)) land 0xff))
+          done)
+        d.Dfa.accel_stops;
+      if ver = 4 then
+        Buffer.add_bytes b
+          (fst (Dfa.swar_classify ~num_states:(Dfa.size d) ~stops:d.Dfa.accel_stops))
+    end
+  end;
+  let b = Buffer.to_bytes b in
+  Bytes.set b 4 (Char.chr ver);
+  fix_checksum b;
+  b
+
+let load ?verify what b =
+  match Engine_io.of_string ?verify (Bytes.to_string b) with
+  | Ok e -> Engine.dfa e
+  | Error msg -> Alcotest.failf "%s: load failed: %s" what msg
+
+let rejected b =
+  match Engine_io.of_string (Bytes.to_string b) with
+  | Error _ -> true
+  | Ok _ -> false
+
+(* what every load must produce: the tables the transitions imply *)
+let derived d = Dfa.attach_accel ~enabled:true d
+
+let test_stc_v5_roundtrip () =
   let e = compile_grammar Formats.json in
+  let d = Engine.dfa e in
   let blob = Engine_io.to_string e in
-  check_int "v4 version byte" 4 (Char.code blob.[4]);
+  check_int "v5 version byte" 5 (Char.code blob.[4]);
+  check_int "v5 stores the tables and one enable byte" (tables_end d + 1)
+    (String.length blob);
   (match Engine_io.of_string blob with
   | Ok e' ->
-      check "accel tables survive the round trip" true
-        (Dfa.equal (Engine.dfa e) (Engine.dfa e'));
-      check "swar classification survives" true
+      check "accel tables rebuilt identically" true (Dfa.equal d (Engine.dfa e'));
+      check "swar classification rebuilt" true
         (Dfa.accel_swar_state_count (Engine.dfa e') > 0);
       check "round trip is bit-for-bit stable" true
         (String.equal blob (Engine_io.to_string e'))
-  | Error msg -> Alcotest.failf "v4 load failed: %s" msg);
+  | Error msg -> Alcotest.failf "v5 load failed: %s" msg);
+  (* a bitmap-only build reloads as the canonical SWAR-classified one *)
+  let rules = Grammar.rules Formats.json in
+  let eb =
+    match Engine.compile (Dfa.of_rules ~swar:false rules) with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  check "swar:false build reloads canonical" true
+    (Dfa.equal d
+       (load "swar:false" (Bytes.of_string (Engine_io.to_string eb))));
   (* an unaccelerated engine round-trips as unaccelerated *)
+  let ep =
+    match Engine.compile (Dfa.of_rules ~accel:false rules) with
+    | Ok e -> e
+    | Error _ -> assert false
+  in
+  check "noaccel stays off after round trip" false
+    (Dfa.accel_enabled
+       (load "noaccel" (Bytes.of_string (Engine_io.to_string ep))))
+
+let test_stc_v2_compat () =
+  let e = compile_grammar Formats.csv in
+  check "v2 load derives identical accel tables" true
+    (Dfa.equal (Engine.dfa e) (load "v2" (legacy_blob ~ver:2 e)))
+
+let test_stc_v3_compat () =
+  let e = compile_grammar Formats.json in
+  let d = Engine.dfa e in
+  let d' = load "v3" (legacy_blob ~ver:3 e) in
+  check "v3 load derives identical tables" true (Dfa.equal d d');
+  check_int "v3 load finds the same swar states"
+    (Dfa.accel_swar_state_count d)
+    (Dfa.accel_swar_state_count d')
+
+let test_stc_v4_compat () =
+  let e = compile_grammar Formats.json in
+  check "v4 load derives identical tables" true
+    (Dfa.equal (Engine.dfa e) (load "v4" (legacy_blob ~ver:4 e)));
   let ep =
     match Engine.compile (Dfa.of_rules ~accel:false (Grammar.rules Formats.json)) with
     | Ok e -> e
     | Error _ -> assert false
   in
-  match Engine_io.of_string (Engine_io.to_string ep) with
-  | Ok ep' ->
-      check "noaccel stays off after round trip" false
-        (Dfa.accel_enabled (Engine.dfa ep'))
-  | Error msg -> Alcotest.failf "noaccel v4 load failed: %s" msg
+  let b = legacy_blob ~ver:4 ep in
+  check_int "unaccelerated v4 blob has no accel section"
+    (tables_end (Engine.dfa ep) + 1)
+    (Bytes.length b);
+  check "unaccelerated v4 blob loads unaccelerated" false
+    (Dfa.accel_enabled (load "noaccel v4" b))
 
-let test_stc_v2_compat () =
-  (* a v2 blob is a v4 blob cut at the end of the transition tables with
-     the version byte rewound; acceleration must be recomputed on load *)
-  let e = compile_grammar Formats.csv in
+(* A v4 blob whose stored accel section is corrupted (checksum fixed)
+   still loads to the tables its transitions imply — verified or not —
+   because the section is never read. [at] is the corrupted byte's offset
+   from the section start (just after the enable byte); [f] maps the
+   stored byte to a different one. *)
+let corrupt_v4 g ~at f =
+  let e = compile_grammar g in
   let d = Engine.dfa e in
-  let v4 = Engine_io.to_string e in
-  let v2 = Bytes.of_string (String.sub v4 0 (tables_end d)) in
-  Bytes.set v2 4 '\002';
-  fix_checksum v2;
-  match Engine_io.of_string (Bytes.to_string v2) with
-  | Ok e' ->
-      check "v2 load recomputes identical accel tables" true
-        (Dfa.equal d (Engine.dfa e'))
-  | Error msg -> Alcotest.failf "v2 load failed: %s" msg
+  let b = legacy_blob ~ver:4 e in
+  let i = tables_end d + 1 + at in
+  let c = f (Bytes.get b i) in
+  check "the corruption changes the byte" false (c = Bytes.get b i);
+  Bytes.set b i c;
+  fix_checksum b;
+  (d, b)
 
-let test_stc_v3_compat () =
-  (* a v3 blob is a v4 blob with the per-state kind section cut off and the
-     version byte rewound; the SWAR classification must be recomputed on
-     load, identically to the build-time one *)
-  let e = compile_grammar Formats.json in
-  let d = Engine.dfa e in
-  let v4 = Engine_io.to_string e in
-  let n = Dfa.size d in
-  let v3 = Bytes.of_string (String.sub v4 0 (String.length v4 - n)) in
-  Bytes.set v3 4 '\003';
-  fix_checksum v3;
-  match Engine_io.of_string (Bytes.to_string v3) with
-  | Ok e' ->
-      check "v3 load recomputes identical classification" true
-        (Dfa.equal d (Engine.dfa e'));
-      check_int "v3 load finds the same swar states"
-        (Dfa.accel_swar_state_count d)
-        (Dfa.accel_swar_state_count (Engine.dfa e'))
-  | Error msg -> Alcotest.failf "v3 load failed: %s" msg
+let flip c = Char.chr (Char.code c lxor 1)
+let invert c = Char.chr (Char.code c lxor 0xff)
+
+let loads_derived what (d, b) =
+  check (what ^ ": verified load derives the tables") true
+    (Dfa.equal (derived d) (load what b));
+  check (what ^ ": unverified load derives the tables") true
+    (Dfa.equal (derived d) (load ~verify:false what b))
 
 let test_stc_accel_corruption () =
+  let n = Dfa.size (Engine.dfa (compile_grammar Formats.csv)) in
+  (* per-state flags: flipped, and out of {0,1} *)
+  loads_derived "first flag flipped" (corrupt_v4 Formats.csv ~at:0 flip);
+  loads_derived "last flag flipped" (corrupt_v4 Formats.csv ~at:(n - 1) flip);
+  loads_derived "flag byte 2"
+    (corrupt_v4 Formats.csv ~at:0 (fun c -> Char.chr (Char.code c + 2)));
+  (* stop bitmaps: bytes of the first and the last state's rows *)
+  loads_derived "first bitmap inverted" (corrupt_v4 Formats.csv ~at:n invert);
+  loads_derived "last bitmap inverted"
+    (corrupt_v4 Formats.csv ~at:((33 * n) - 3) invert);
+  (* the enable byte is still validated, in v4 and v5 alike *)
   let e = compile_grammar Formats.csv in
   let d = Engine.dfa e in
-  let blob = Engine_io.to_string e in
-  let fbase = tables_end d + 1 in
-  (* a flag byte outside {0,1} is malformed *)
-  let b = Bytes.of_string blob in
-  Bytes.set b fbase '\002';
-  fix_checksum b;
-  check "flag byte > 1 rejected" true
-    (match Engine_io.of_string (Bytes.to_string b) with
-    | Error _ -> true
-    | Ok _ -> false);
-  (* a flipped (well-formed) flag contradicts the recomputed analysis *)
-  let b = Bytes.of_string blob in
-  Bytes.set b fbase (if Bytes.get b fbase = '\000' then '\001' else '\000');
-  fix_checksum b;
-  check "inconsistent accel tables rejected under verify" true
-    (match Engine_io.of_string (Bytes.to_string b) with
-    | Error _ -> true
-    | Ok _ -> false);
-  (* ... but accepted when the caller opts out of verification *)
-  check "unverified load trusts the tables" true
-    (match Engine_io.of_string ~verify:false (Bytes.to_string b) with
-    | Ok _ -> true
-    | Error _ -> false)
+  let bad_enable b =
+    Bytes.set b (tables_end d) '\002';
+    fix_checksum b;
+    b
+  in
+  check "v4 enable byte > 1 rejected" true
+    (rejected (bad_enable (legacy_blob ~ver:4 e)));
+  check "v5 enable byte > 1 rejected" true
+    (rejected (bad_enable (Bytes.of_string (Engine_io.to_string e))))
 
 let test_stc_swar_corruption () =
-  let e = compile_grammar Formats.json in
-  let d = Engine.dfa e in
-  let n = Dfa.size d in
-  let blob = Engine_io.to_string e in
-  let kbase = tables_end d + 1 + n + (n * 32) in
-  let reject what b =
-    match Engine_io.of_string (Bytes.to_string b) with
-    | Error msg ->
-        check (what ^ ": error mentions the accel section") true
-          (let has needle =
-             let nl = String.length needle and ml = String.length msg in
-             let rec go i = i + nl <= ml && (String.sub msg i nl = needle || go (i + 1)) in
-             go 0
-           in
-           has "kind" || has "table sizes")
-    | Ok _ -> Alcotest.failf "%s: corrupted blob accepted" what
-  in
-  (* a kind byte above 4 is malformed *)
-  let b = Bytes.of_string blob in
-  Bytes.set b kbase '\007';
+  let n = Dfa.size (Engine.dfa (compile_grammar Formats.json)) in
+  let kinds = 33 * n in
+  (* a kind byte above 4, and a well-formed kind the bitmaps contradict *)
+  loads_derived "kind byte > 4"
+    (corrupt_v4 Formats.json ~at:kinds (fun _ -> '\007'));
+  loads_derived "kind inconsistent with bitmaps"
+    (corrupt_v4 Formats.json ~at:(kinds + n - 1) (fun c ->
+         if c = '\000' then '\001' else '\000'));
+  (* the section's length is still checked *)
+  let b = legacy_blob ~ver:4 (compile_grammar Formats.json) in
+  let b = Bytes.sub b 0 (Bytes.length b - 1) in
   fix_checksum b;
-  reject "kind byte > 4" b;
-  (* a well-formed but wrong kind contradicts the stop bitmaps; this is
-     structural validation, so it must hold even without verify *)
-  let b = Bytes.of_string blob in
-  Bytes.set b kbase (if Bytes.get b kbase = '\000' then '\001' else '\000');
-  fix_checksum b;
-  reject "kind inconsistent with bitmaps" b;
-  check "kind inconsistency rejected even unverified" true
-    (match Engine_io.of_string ~verify:false (Bytes.to_string b) with
-    | Error _ -> true
-    | Ok _ -> false);
-  (* a truncated kind section makes the blob the wrong length for v4 *)
-  let b = Bytes.of_string (String.sub blob 0 (String.length blob - 1)) in
-  fix_checksum b;
-  reject "truncated kind section" b
+  check "truncated kind section rejected" true (rejected b)
 
 let suite =
   [
@@ -446,9 +492,10 @@ let suite =
     Alcotest.test_case "golden grammars parity" `Quick test_golden_grammars;
     Alcotest.test_case "streaming skip counters" `Quick
       test_streaming_skip_counters;
-    Alcotest.test_case "stc v4 roundtrip" `Quick test_stc_v4_roundtrip;
+    Alcotest.test_case "stc v5 roundtrip" `Quick test_stc_v5_roundtrip;
     Alcotest.test_case "stc v2 compat" `Quick test_stc_v2_compat;
     Alcotest.test_case "stc v3 compat" `Quick test_stc_v3_compat;
+    Alcotest.test_case "stc v4 compat" `Quick test_stc_v4_compat;
     Alcotest.test_case "stc accel corruption" `Quick test_stc_accel_corruption;
     Alcotest.test_case "stc swar corruption" `Quick test_stc_swar_corruption;
   ]

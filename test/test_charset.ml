@@ -103,6 +103,15 @@ let test_hash_equal_consistent () =
   check "equal" true (Charset.equal a b);
   check_int "hash equal" (Charset.hash a) (Charset.hash b)
 
+(* a [Hashtbl.Make (Charset)] indexes by the low bits: the 256 single-byte
+   charsets must spread over (nearly) all 64 residues mod 64 *)
+let test_hash_spread () =
+  let residues = Hashtbl.create 64 in
+  for b = 0 to 255 do
+    Hashtbl.replace residues (Charset.hash (Charset.singleton (Char.chr b)) mod 64) ()
+  done;
+  check "singletons cover >= 56 of 64 residues" true (Hashtbl.length residues >= 56)
+
 let suite =
   [
     Alcotest.test_case "empty/full" `Quick test_empty_full;
@@ -117,4 +126,5 @@ let suite =
     Alcotest.test_case "iter/fold" `Quick test_iter_fold;
     Alcotest.test_case "print/parse roundtrip" `Quick test_roundtrip_print_parse;
     Alcotest.test_case "hash/equal" `Quick test_hash_equal_consistent;
+    Alcotest.test_case "hash spread" `Quick test_hash_spread;
   ]

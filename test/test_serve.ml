@@ -196,34 +196,30 @@ let test_engine_cache_sharing () =
   check_int "two hits" 2 (Engine_cache.hits cache);
   check_int "three live sessions" 3 (SV.sessions (LB.server lb))
 
-(* The compile flags are part of the cache key: the same grammar under
-   default and [~accel:false] builds must not share an entry (a session
-   handed the wrong variant would silently lose the skip loops — or worse,
-   a reference build would silently gain them). *)
-let test_engine_cache_flag_keys () =
-  let rules = Streamtok.Grammar.rules Streamtok.Formats.csv in
+(* The cache key is the grammar: distinct rule lists never share an entry,
+   the same rules always do, and every entry is the default (accelerated)
+   build. *)
+let test_engine_cache_grammar_keys () =
+  let csv = Streamtok.Grammar.rules Streamtok.Formats.csv in
+  let tsv = Streamtok.Grammar.rules Streamtok.Formats.tsv in
   let cache = Engine_cache.create () in
-  check "keys differ across accel flag" false
-    (Engine_cache.key_of_rules rules
-    = Engine_cache.key_of_rules ~accel:false rules);
-  check "keys differ across classes flag" false
-    (Engine_cache.key_of_rules rules
-    = Engine_cache.key_of_rules ~classes:false rules);
-  let get ?classes ?accel () =
-    match Engine_cache.find_or_compile cache ?classes ?accel rules with
+  check "different grammars, different keys" false
+    (Engine_cache.key_of_rules csv = Engine_cache.key_of_rules tsv);
+  check "same rules, same key" true
+    (Engine_cache.key_of_rules csv
+    = Engine_cache.key_of_rules (Streamtok.Grammar.rules Streamtok.Formats.csv));
+  let get rules =
+    match Engine_cache.find_or_compile cache rules with
     | Ok e -> e
-    | Error _ -> Alcotest.fail "csv must compile"
+    | Error _ -> Alcotest.fail "csv and tsv must compile"
   in
-  let ea = get () in
-  let ep = get ~accel:false () in
+  let ec = get csv and et = get tsv in
   check_int "two distinct compiles" 2 (Engine_cache.compiles cache);
-  check "default build accelerated" true
-    (Streamtok.Dfa.accel_enabled (Streamtok.Engine.dfa ea));
-  check "reference build not accelerated" false
-    (Streamtok.Dfa.accel_enabled (Streamtok.Engine.dfa ep));
-  ignore (get ());
-  ignore (get ~accel:false ());
-  check_int "both variants hit their own entry" 2 (Engine_cache.hits cache);
+  check "entries are distinct engines" false (ec == et);
+  check "cached build accelerated" true
+    (Streamtok.Dfa.accel_enabled (Streamtok.Engine.dfa ec));
+  check "each grammar hits its own entry" true (get csv == ec && get tsv == et);
+  check_int "two hits" 2 (Engine_cache.hits cache);
   check_int "still two compiles" 2 (Engine_cache.compiles cache)
 
 let test_idle_eviction () =
@@ -1107,8 +1103,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chunked_decode;
     Alcotest.test_case "lifecycle ≡ batch engine" `Quick test_lifecycle_parity;
     Alcotest.test_case "engine cache sharing" `Quick test_engine_cache_sharing;
-    Alcotest.test_case "engine cache flag keys" `Quick
-      test_engine_cache_flag_keys;
+    Alcotest.test_case "engine cache grammar keys" `Quick
+      test_engine_cache_grammar_keys;
     Alcotest.test_case "idle eviction" `Quick test_idle_eviction;
     Alcotest.test_case "capacity rejection" `Quick test_capacity_rejection;
     Alcotest.test_case "backpressure" `Quick test_backpressure;

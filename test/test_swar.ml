@@ -210,10 +210,15 @@ let test_dual_oracle () =
       [ 0x7a; 0x7e; 0x62; 0x41; 0x25 ];
     |]
   in
+  (* ranges of >= 8 bytes (so the word loop runs) per mixed orientation:
+     A SWAR / B bitmap, and B SWAR / A bitmap, which swaps into it *)
+  let swar_a = ref 0 and swar_b = ref 0 in
+  let is_swar k = k >= '\001' && k <= '\003' in
   for _ = 1 to 500 do
     let set_a = Prng.choose rng sets and set_b = Prng.choose rng sets in
     let stops_a, kinds_a, masks_a = tables_of set_a in
     let stops_b, kinds_b, masks_b = tables_of set_b in
+    let ka = Bytes.get kinds_a 0 and kb = Bytes.get kinds_b 0 in
     let tbl_a = tbl_of set_a and tbl_b = tbl_of set_b in
     let off = Prng.in_range rng (-6) 6 in
     let n = Prng.in_range rng 0 64 in
@@ -227,6 +232,10 @@ let test_dual_oracle () =
     let pos = max 0 (-off) in
     let limit = min (pos + n) (String.length s - max 0 off) in
     let limit = max pos limit in
+    if limit - pos >= 8 then begin
+      if is_swar ka && kb = '\000' then incr swar_a;
+      if ka = '\000' && is_swar kb then incr swar_b
+    end;
     let expected = linear_scan2 set_a set_b ~off s pos limit in
     check_int "dual swar vs reference" expected
       (Dfa.skip_run2 stops_a kinds_a masks_a tbl_a 0 stops_b kinds_b masks_b
@@ -234,7 +243,9 @@ let test_dual_oracle () =
     if set_a <> [] && set_b <> [] then
       check_int "dual bitmap vs reference" expected
         (Dfa.skip_run2_bitmap stops_a 0 stops_b 0 ~off s pos limit)
-  done
+  done;
+  check "A SWAR / B bitmap word loop exercised" true (!swar_a > 0);
+  check "B SWAR / A bitmap word loop exercised" true (!swar_b > 0)
 
 (* ---- seeded random battery on the golden grammars ---- *)
 
